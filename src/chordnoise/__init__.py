@@ -3,7 +3,8 @@
 Modules split along the pipeline: phase-space kinematics (translations and
 the chord transform), state constructors with the discrete Wigner function,
 the noise channels themselves, quantized torus maps, spectra of the noisy
-propagators, and a small CLI.
+propagators, and a small CLI. The slow reference implementations the tests
+check these against live in `chordnoise.oracles`.
 """
 
 from .phasespace import (
@@ -34,16 +35,11 @@ from .channels import (
     make_gaussian,
     channel_spectrum,
     apply_channel,
-    apply_channel_kraus,
-    kraus_operators,
-    su_n_generator_superoperator,
 )
 from .dynamics import (
     LinearMapSpec,
-    ChordSuperMatrix,
     quantize_linear_map,
     nonlinear_kick,
-    chord_supermatrix,
 )
 from .spectral import (
     TruncatedPropagator,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phasespace import PhasePoint, TorusGeometry, translation_operator, chord_transform, chord_inverse
+from .phasespace import TorusGeometry, chord_transform, chord_inverse
 
 __all__ = [
     "DiagonalChordChannel",
@@ -32,20 +32,10 @@ __all__ = [
     "make_depolarizing",
     "line_points",
     "make_phase_damping_line",
-    "line_shift",
     "make_gaussian",
     "channel_spectrum",
-    "line_spectrum_closed_form",
     "apply_channel",
-    "apply_channel_kraus",
-    "kraus_operators",
-    "channel_superoperator_matrix",
-    "unitary_superoperator_matrix",
-    "su_n_generator_superoperator",
 ]
-
-# explicit superoperator matrices are N^2 x N^2; keep them at oracle scale
-_MATRIX_DIM_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -68,6 +58,8 @@ class DiagonalChordChannel:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.weights.shape != (n, n):
             raise ValueError(f"weight table shape {self.weights.shape}, expected {(n, n)}")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("channel weights must be finite")
         if self.weights.min() < -1e-12:
             raise ValueError(f"negative channel weight {self.weights.min()}")
         total = float(self.weights.sum())
@@ -89,12 +81,12 @@ class ChannelSpectrum:
 
 @dataclass(frozen=True)
 class PhaseSpaceLine:
-    """All grid points with n1*p = n2*q + n3 (mod N)."""
+    """All grid points with n1*p = n2*q + n3 (mod N), as (r, 2) rows of (q, p)."""
 
     n1: int
     n2: int
     n3: int
-    points: frozenset = field(repr=False)
+    points: np.ndarray = field(repr=False, compare=False)
 
     @property
     def r(self) -> int:
@@ -114,39 +106,16 @@ def line_points(geom: TorusGeometry, n1: int, n2: int, n3: int) -> PhaseSpaceLin
     n = geom.n
     q, p = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     on = (n1 * p - n2 * q - n3) % n == 0
-    pts = frozenset(PhasePoint(int(a), int(b)) for a, b in np.argwhere(on))
-    if not pts:
+    if not on.any():
         raise ValueError(f"line ({n1},{n2},{n3}) has no solutions mod {n}")
-    return PhaseSpaceLine(n1, n2, n3, pts)
+    return PhaseSpaceLine(n1, n2, n3, np.argwhere(on))
 
 
 def make_phase_damping_line(geom: TorusGeometry, line: PhaseSpaceLine, epsilon: float) -> DiagonalChordChannel:
     """Weight N/r on each of the r line points: averaging along the line."""
     w = np.zeros((geom.n, geom.n))
-    for q, p in line.points:
-        w[q, p] = geom.n / line.r
+    w[line.points[:, 0], line.points[:, 1]] = geom.n / line.r
     return DiagonalChordChannel(geom, epsilon, w)
-
-
-def line_shift(geom: TorusGeometry, n1: int, n2: int, n3: int) -> PhasePoint:
-    """Translation splitting the line channel off its through-origin part.
-
-    The averaging over n1*p = n2*q + n3 equals averaging over the n3 = 0 line
-    composed with conjugation by this translation: a momentum shift by
-    n3/n1 when n1 is invertible mod N, else a position shift by -n3/n2.
-    Raises when neither coefficient is invertible.
-    """
-    n = geom.n
-    try:
-        return PhasePoint(0, (n3 * pow(n1, -1, n)) % n)
-    except ValueError:
-        pass
-    try:
-        return PhasePoint((-n3 * pow(n2, -1, n)) % n, 0)
-    except ValueError:
-        raise ValueError(
-            f"neither n1={n1} nor n2={n2} is invertible mod {n}; no shift decomposition"
-        ) from None
 
 
 def make_gaussian(geom: TorusGeometry, sigma: float) -> DiagonalChordChannel:
@@ -157,8 +126,8 @@ def make_gaussian(geom: TorusGeometry, sigma: float) -> DiagonalChordChannel:
     is the inverse chord-spectrum transform, checked nonnegative (theta
     functions of this width are) and renormalized to sum N.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     n = geom.n
     spec = _gaussian_spectrum_table(geom, sigma)
     w = _weights_from_spectrum(spec)
@@ -202,125 +171,7 @@ def channel_spectrum(ch: DiagonalChordChannel) -> ChannelSpectrum:
     return ChannelSpectrum(ch.geometry, vals)
 
 
-def line_spectrum_closed_form(geom: TorusGeometry, n1: int, n2: int, n3: int, epsilon: float) -> np.ndarray:
-    """Closed-form line-channel spectrum, kept as a cross-check.
-
-    For n1 invertible: Sigma(q,p) = 1 - eps*(1 - e^{-i(2pi/N) q n3/n1} delta[n2 q = n1 p]);
-    for n1 = 0, n2 invertible: Sigma(q,p) = 1 - eps*(1 - e^{+i(2pi/N) p n3/n2} delta[q = 0]).
-    The Kraus-derived channel_spectrum is the ground truth; this formula lands
-    on the same value set but conjugates individual chords (see tests).
-    """
-    n = geom.n
-    q = np.arange(n)[:, None]
-    p = np.arange(n)[None, :]
-    if n1 % n != 0:
-        inv = pow(n1, -1, n)
-        on = (n2 * q - n1 * p) % n == 0
-        phase = np.exp(-2j * np.pi * q * ((n3 * inv) % n) / n)
-    elif n2 % n != 0:
-        inv = pow(n2, -1, n)
-        on = q % n == 0
-        phase = np.exp(2j * np.pi * p * ((n3 * inv) % n) / n)
-    else:
-        raise ValueError("closed form needs n1 or n2 nonzero mod N")
-    return 1.0 - epsilon * (1.0 - phase * on)
-
-
 def apply_channel(ch: DiagonalChordChannel, rho: np.ndarray) -> np.ndarray:
     """Modulate the chord coefficients of rho by the channel spectrum."""
     coeffs = chord_transform(rho, ch.geometry)
     return chord_inverse(coeffs * channel_spectrum(ch).values)
-
-
-def kraus_operators(ch: DiagonalChordChannel) -> list[np.ndarray]:
-    """Explicit Kraus list: sqrt(1-eps) I plus sqrt(eps w/N) T_alpha per active chord."""
-    n = ch.geometry.n
-    ops = []
-    if ch.epsilon < 1.0:
-        ops.append(np.sqrt(1.0 - ch.epsilon) * np.eye(n, dtype=complex))
-    for q, p in np.argwhere(ch.weights > 0):
-        ops.append(
-            np.sqrt(ch.epsilon * ch.weights[q, p] / n)
-            * translation_operator(ch.geometry, (int(q), int(p)))
-        )
-    return ops
-
-
-def apply_channel_kraus(ch: DiagonalChordChannel, rho: np.ndarray) -> np.ndarray:
-    """Direct Kraus sum (1-eps) rho + (eps/N) sum_alpha w T rho T^dag; the slow oracle.
-
-    Terms are accumulated with pairwise block sums in a fixed chord order, so
-    the result is deterministic and insensitive to how callers might shard
-    the sum.
-    """
-    n = ch.geometry.n
-    active = np.argwhere(ch.weights > 0)
-    blocks = []
-    for start in range(0, len(active), 128):
-        terms = []
-        for q, p in active[start : start + 128]:
-            t = translation_operator(ch.geometry, (int(q), int(p)))
-            terms.append(ch.weights[q, p] * (t @ rho @ t.conj().T))
-        blocks.append(np.sum(terms, axis=0))
-    return (1.0 - ch.epsilon) * rho + (ch.epsilon / n) * np.sum(blocks, axis=0)
-
-
-def _check_matrix_scale(n: int):
-    if n > _MATRIX_DIM_CAP:
-        raise ValueError(f"explicit N^2 x N^2 superoperator capped at N={_MATRIX_DIM_CAP}, got N={n}")
-
-
-def channel_superoperator_matrix(ch: DiagonalChordChannel) -> np.ndarray:
-    """The channel as an N^2 x N^2 matrix on row-major vec(rho); oracle scale only."""
-    n = ch.geometry.n
-    _check_matrix_scale(n)
-    s = (1.0 - ch.epsilon) * np.eye(n * n, dtype=complex)
-    for q, p in np.argwhere(ch.weights > 0):
-        t = translation_operator(ch.geometry, (int(q), int(p)))
-        s += (ch.epsilon * ch.weights[q, p] / n) * np.kron(t, t.conj())
-    return s
-
-
-def unitary_superoperator_matrix(u: np.ndarray) -> np.ndarray:
-    """Conjugation rho -> U rho U^dag on row-major vec(rho)."""
-    _check_matrix_scale(u.shape[0])
-    return np.kron(u, u.conj())
-
-
-def su_n_generator_superoperator(geom: TorusGeometry, epsilon: float) -> np.ndarray:
-    """Depolarizing channel assembled from the SU(N) generator basis.
-
-    Builds the N^2 - 1 Hermitian generators from skew projectors |j><k|
-    (symmetric and antisymmetric pair combinations plus the diagonal traceless
-    ladder), normalizes them to the orthonormal set {I/sqrt(N), gamma/sqrt(2)}
-    and returns (1-eps) I + (eps/N) sum_mu Q_mu (x) conj(Q_mu) on row-major
-    vec(rho). Equality with the uniform-translation form is the identity the
-    test suite pins down.
-    """
-    n = geom.n
-    _check_matrix_scale(n)
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-
-    def proj(i, j):
-        m = np.zeros((n, n), dtype=complex)
-        m[i, j] = 1.0
-        return m
-
-    gens = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            gens.append(proj(j, k) + proj(k, j))
-            gens.append(1j * (proj(j, k) - proj(k, j)))
-    for l in range(1, n):
-        d = np.zeros(n, dtype=complex)
-        d[:l] = 1.0
-        d[l] = -l
-        gens.append(-np.sqrt(2.0 / (l * (l + 1))) * np.diag(d))
-    assert len(gens) == n * n - 1
-
-    qs = [np.eye(n, dtype=complex) / np.sqrt(n)] + [g / np.sqrt(2.0) for g in gens]
-    s = (1.0 - epsilon) * np.eye(n * n, dtype=complex)
-    for qop in qs:
-        s += (epsilon / n) * np.kron(qop, qop.conj())
-    return s

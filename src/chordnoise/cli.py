@@ -231,7 +231,7 @@ def _expand_config(argv: list) -> list:
     """Splice '--config file.json' into flags right after the subcommand.
 
     Values from the file come first, so flags typed on the command line
-    override them.
+    override them. Keys may be flag names or argparse dests ('a_coeff').
     """
     if "--config" not in argv:
         return argv
@@ -243,7 +243,7 @@ def _expand_config(argv: list) -> list:
     rest = argv[:i] + argv[i + 2 :]
     extra = []
     for key in sorted(doc):
-        extra += [f"--{key}", str(doc[key])]
+        extra += [f"--{key.replace('_', '-')}", str(doc[key])]
     return rest[:1] + extra + rest[1:]
 
 

@@ -1,4 +1,4 @@
-"""Quantized torus maps and their superoperator in the chord basis.
+"""Quantized torus maps and the nonlinear kick.
 
 A classical map M = [[a, b], [c, d]] with ad - bc = 1 acts on chord labels
 mod N; its quantization U_M is pinned down by the exact covariance
@@ -16,18 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import PhasePoint, TorusGeometry, chord_transform, translation_operator
+from .phasespace import PhasePoint, TorusGeometry, translation_operator
 
 __all__ = [
     "LinearMapSpec",
-    "ChordSuperMatrix",
     "quantize_linear_map",
     "nonlinear_kick",
-    "chord_supermatrix",
 ]
-
-# full supermatrices hold N^4 complex entries; past this they stop being cheap
-_SUPERMATRIX_N_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -48,20 +43,6 @@ class LinearMapSpec:
         """Image of a grid point under the map, reduced mod N."""
         q, p = alpha
         return PhasePoint((self.a * q + self.b * p) % n, (self.c * q + self.d * p) % n)
-
-
-@dataclass(frozen=True)
-class ChordSuperMatrix:
-    """Matrix of rho -> U rho U^dag on chord coefficients, row-major (q*N + p)."""
-
-    geometry: TorusGeometry
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = self.geometry.n**2
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"supermatrix shape {self.matrix.shape}, expected {(dim, dim)}")
-        self.matrix.setflags(write=False)
 
 
 def _covariance_residual(geom: TorusGeometry, u: np.ndarray, m: LinearMapSpec, alpha) -> float:
@@ -111,25 +92,3 @@ def nonlinear_kick(geom: TorusGeometry, k: float) -> np.ndarray:
     n = geom.n
     phases = -1j * (k * n / (2 * np.pi)) * np.cos(2 * np.pi * np.arange(n) / n)
     return np.diag(np.exp(phases))
-
-
-def chord_supermatrix(geom: TorusGeometry, u: np.ndarray) -> ChordSuperMatrix:
-    """Full matrix with entries (1/N) Tr[T_{lam'}^dag U T_lam U^dag].
-
-    Column lam holds the chord coefficients of U T_lam U^dag, so the matrix
-    propagates chord coefficient vectors under conjugation by U. Built
-    column by column; the N^2 x N^2 size caps N at small oracle scales (the
-    spectral module windows columns directly instead of calling this).
-    """
-    n = geom.n
-    if n > _SUPERMATRIX_N_CAP:
-        raise ValueError(f"full supermatrix capped at N={_SUPERMATRIX_N_CAP}, got N={n}")
-    if u.shape != (n, n):
-        raise ValueError(f"unitary shape {u.shape} does not match N={n}")
-    mat = np.empty((n * n, n * n), dtype=complex)
-    udag = u.conj().T
-    for q in range(n):
-        for p in range(n):
-            v = u @ translation_operator(geom, (q, p)) @ udag
-            mat[:, q * n + p] = chord_transform(v, geom).ravel() / np.sqrt(n)
-    return ChordSuperMatrix(geom, mat)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DiagonalChordChannel, channel_spectrum
-from .phasespace import PhasePoint, TorusGeometry, chord_transform, translation_operator
+from .oracles import check_oracle_scale
+from .phasespace import TorusGeometry, chord_transform, translation_operator
 
 __all__ = [
     "TruncatedPropagator",
@@ -29,20 +30,20 @@ __all__ = [
     "stability_report",
 ]
 
-# full N^2-dim builds (the non-Gaussian oracle path) stay at small N
-_FULL_BUILD_N_CAP = 16
-
 
 @dataclass(frozen=True)
 class TruncatedPropagator:
-    """The windowed propagator matrix over kept_modes (row-major in the window)."""
+    """The windowed propagator matrix over kept_modes.
+
+    kept_modes is a (dim, 2) integer array of canonical chord labels (q, p),
+    q-major, in the order of the matrix rows and columns.
+    """
 
     geometry: TorusGeometry
     sigma: float | None
     a_coeff: float
-    kept_modes: tuple
+    kept_modes: np.ndarray
     matrix: np.ndarray
-    full: bool
 
     def __post_init__(self):
         dim = len(self.kept_modes)
@@ -53,6 +54,11 @@ class TruncatedPropagator:
     @property
     def dim(self) -> int:
         return len(self.kept_modes)
+
+    @property
+    def full(self) -> bool:
+        """True when the window covers every chord of the grid."""
+        return self.dim == self.geometry.n**2
 
 
 @dataclass(frozen=True)
@@ -66,10 +72,6 @@ class SpectrumResult:
         self.eigenvalues.setflags(write=False)
 
 
-def _window_offsets(w: int) -> np.ndarray:
-    return np.arange(-w, w)
-
-
 def build_noisy_propagator(
     ch: DiagonalChordChannel, u: np.ndarray, a_coeff: float
 ) -> TruncatedPropagator:
@@ -80,18 +82,21 @@ def build_noisy_propagator(
     row lam' is scaled by the channel eigenvalue Sigma(lam'). For a Gaussian
     channel the window follows the module convention above; a window reaching
     N/2 degrades to the full grid with a warning. Channels without sigma get
-    the full (untruncated) build, capped at oracle scale.
+    the full (untruncated) build, capped at oracle scale. u must be an N x N
+    unitary.
     """
     if a_coeff <= 0:
         raise ValueError(f"truncation coefficient must be positive, got {a_coeff}")
     geom = ch.geometry
     n = geom.n
+    if u.shape != (n, n):
+        raise ValueError(f"unitary shape {u.shape} does not match N={n}")
+    uerr = np.abs(u @ u.conj().T - np.eye(n)).max()
+    if uerr > 1e-10:
+        raise ValueError(f"u is not unitary (deviation {uerr:.2e})")
     full = False
     if ch.sigma is None:
-        if n > _FULL_BUILD_N_CAP:
-            raise ValueError(
-                f"channel has no sigma; full builds are capped at N={_FULL_BUILD_N_CAP}, got N={n}"
-            )
+        check_oracle_scale(n, "full build for a channel with no sigma")
         full = True
     else:
         w = int(np.floor(a_coeff / (2 * np.pi * ch.sigma)))
@@ -106,21 +111,15 @@ def build_noisy_propagator(
             )
             full = True
 
-    if full:
-        offs = np.arange(n)
-        kept = tuple(PhasePoint(int(q), int(p)) for q in offs for p in offs)
-    else:
-        offs = _window_offsets(w) % n
-        kept = tuple(PhasePoint(int(q), int(p)) for q in offs for p in offs)
-
-    rows_q = np.array([pt.q for pt in kept])
-    rows_p = np.array([pt.p for pt in kept])
+    offs = np.arange(n) if full else np.arange(-w, w) % n
+    kept = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
+    rows_q, rows_p = kept[:, 0], kept[:, 1]
     sigma_vals = channel_spectrum(ch).values[rows_q, rows_p]
 
     dim = len(kept)
     mat = np.empty((dim, dim), dtype=complex)
     udag = u.conj().T
-    for j, (q, p) in enumerate(kept):
+    for j, (q, p) in enumerate(kept.tolist()):
         v = u @ translation_operator(geom, (q, p)) @ udag
         mat[:, j] = chord_transform(v, geom)[rows_q, rows_p] / np.sqrt(n)
     mat *= sigma_vals[:, None]
@@ -130,7 +129,6 @@ def build_noisy_propagator(
         a_coeff=a_coeff,
         kept_modes=kept,
         matrix=mat,
-        full=full,
     )
 
 
@@ -148,8 +146,8 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     propagates as-is. Window dimensions stay in the hundreds, so a partial
     solver would buy nothing.
     """
-    if count > tp.dim:
-        raise ValueError(f"requested {count} eigenvalues from a dim-{tp.dim} propagator")
+    if not 1 <= count <= tp.dim:
+        raise ValueError(f"requested {count} eigenvalues; a dim-{tp.dim} propagator has 1 to {tp.dim}")
     vals = sort_by_modulus(np.linalg.eigvals(tp.matrix))
     return SpectrumResult(eigenvalues=vals[:count], dim_used=tp.dim)
 
@@ -161,8 +159,9 @@ def stability_report(s1: SpectrumResult, s2: SpectrumResult, count: int) -> floa
     unused eigenvalue of s2, which keeps near-degenerate moduli from being
     compared against the wrong partner.
     """
-    if count > min(len(s1.eigenvalues), len(s2.eigenvalues)):
-        raise ValueError(f"count {count} exceeds available eigenvalues")
+    available = min(len(s1.eigenvalues), len(s2.eigenvalues))
+    if not 1 <= count <= available:
+        raise ValueError(f"count {count} outside 1..{available} available eigenvalues")
     e1 = s1.eigenvalues[:count]
     e2 = list(s2.eigenvalues[:count])
     worst = 0.0

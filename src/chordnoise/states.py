@@ -26,7 +26,6 @@ __all__ = [
     "coherent_state",
     "cat_state",
     "density_from_pure",
-    "wigner_point_operator",
     "wigner_function",
     "wigner_overlap",
 ]
@@ -71,15 +70,6 @@ class WignerGrid:
         if self.values.shape != (two_n, two_n):
             raise ValueError(f"grid shape {self.values.shape}, expected {(two_n, two_n)}")
         self.values.setflags(write=False)
-
-
-def wigner_point_operator(geom: TorusGeometry, q: int, p: int) -> np.ndarray:
-    """The Hermitian phase-point operator A(q, p); slow, for oracle checks."""
-    n = geom.n
-    k = np.arange(n)
-    a = np.zeros((n, n), dtype=complex)
-    a[(q - k) % n, k] = np.exp(-2j * np.pi * k * p / n)
-    return a * np.exp(1j * np.pi * q * p / n) / (2 * n)
 
 
 def wigner_function(rho: np.ndarray) -> WignerGrid:

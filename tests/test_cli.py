@@ -145,6 +145,18 @@ def test_propagator_count_flag(tmp_path):
     assert len(rows) == 5
 
 
+def test_negative_count_is_an_error(tmp_path, capsys):
+    small = ["--n", "20", "--sigma", "0.3", "--a-coeff", "4.0"]
+    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["propagator-spectrum", *small, "--count", "-1", "--out", str(f1)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["propagator-spectrum", *small, "--count", "0", "--out", str(f1)]) == 0
+    assert len(_read_csv(f1)[2]) == 16  # 0 means all
+    assert main(["propagator-spectrum", *small, "--out", str(f2)]) == 0
+    assert main(["stability", "--inputs", str(f1), str(f2), "--count", "-1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_config_file_with_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"n": 8, "family": "depolarizing", "epsilon": 0.4}))
@@ -156,6 +168,13 @@ def test_config_file_with_override(tmp_path):
     assert config["epsilon"] == 0.2  # explicit flag beats the config file
     vals = {(int(r[0]), int(r[1])): r[2] for r in rows}
     assert vals[1, 0] == pytest.approx(0.8)
+
+    # keys may also be written as argparse dests, with underscores
+    cfg.write_text(json.dumps({"n": 20, "sigma": 0.3, "a_coeff": 4.0}))
+    rc = main(["propagator-spectrum", "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    config, _, _ = _read_csv(out)
+    assert config["a_coeff"] == 4.0 and config["dim"] == 16
 
 
 def test_output_is_deterministic(tmp_path):

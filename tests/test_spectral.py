@@ -9,7 +9,6 @@ from chordnoise import (
     LinearMapSpec,
     TorusGeometry,
     build_noisy_propagator,
-    chord_supermatrix,
     channel_spectrum,
     leading_spectrum,
     make_depolarizing,
@@ -20,6 +19,7 @@ from chordnoise import (
     stability_report,
     translation_operator,
 )
+from chordnoise.oracles import ORACLE_N_CAP, chord_supermatrix
 
 CAT = LinearMapSpec(1, 1, 1, 2)
 
@@ -40,7 +40,7 @@ def test_window_containment():
     _, u, ch = _standard_setup()
     small = build_noisy_propagator(ch, u, 2.0)
     large = build_noisy_propagator(ch, u, 2.8)
-    assert set(small.kept_modes) < set(large.kept_modes)
+    assert set(map(tuple, small.kept_modes.tolist())) < set(map(tuple, large.kept_modes.tolist()))
     assert not small.full and not large.full
 
 
@@ -65,9 +65,9 @@ def test_no_sigma_builds_full_and_caps():
     u = quantize_linear_map(g, CAT)
     tp = build_noisy_propagator(make_depolarizing(g, 0.3), u, 2.0)
     assert tp.full and tp.dim == 64 and tp.sigma is None
-    big = TorusGeometry(20)
-    with pytest.raises(ValueError, match="no sigma"):
-        build_noisy_propagator(make_depolarizing(big, 0.3), np.eye(20, dtype=complex), 2.0)
+    n = ORACLE_N_CAP + 1
+    with pytest.raises(ValueError, match="no sigma.*capped"):
+        build_noisy_propagator(make_depolarizing(TorusGeometry(n), 0.3), np.eye(n, dtype=complex), 2.0)
 
 
 def test_truncation_is_submatrix_of_full_operator():
@@ -78,8 +78,8 @@ def test_truncation_is_submatrix_of_full_operator():
     u = quantize_linear_map(g, CAT) @ nonlinear_kick(g, 0.5)
     tp = build_noisy_propagator(ch, u, 2.0)
     assert tp.dim == 4
-    full = channel_spectrum(ch).values.ravel()[:, None] * chord_supermatrix(g, u).matrix
-    idx = [pt.q * 10 + pt.p for pt in tp.kept_modes]
+    full = channel_spectrum(ch).values.ravel()[:, None] * chord_supermatrix(g, u)
+    idx = tp.kept_modes[:, 0] * 10 + tp.kept_modes[:, 1]
     assert np.abs(tp.matrix - full[np.ix_(idx, idx)]).max() < 1e-14
 
 
@@ -97,6 +97,25 @@ def test_leading_spectrum_count_validation():
     res = leading_spectrum(tp, 3)
     assert res.dim_used == tp.dim
     assert len(res.eigenvalues) == 3
+
+
+def test_count_must_be_positive():
+    _, u, ch = _standard_setup(n=20, sigma=0.3)
+    tp = build_noisy_propagator(ch, u, 2.0)
+    res = leading_spectrum(tp, 4)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="requested"):
+            leading_spectrum(tp, bad)
+        with pytest.raises(ValueError, match="count"):
+            stability_report(res, res, bad)
+
+
+def test_build_rejects_non_unitary_map():
+    _, u, ch = _standard_setup(n=20, sigma=0.3)
+    with pytest.raises(ValueError, match="not unitary"):
+        build_noisy_propagator(ch, 2 * u, 2.0)
+    with pytest.raises(ValueError, match="shape"):
+        build_noisy_propagator(ch, u[:, :-1], 2.0)
 
 
 def test_refinement_is_monotone():

@@ -13,7 +13,7 @@ from chordnoise import (
     wigner_function,
     wigner_overlap,
 )
-from chordnoise.states import wigner_point_operator
+from chordnoise.oracles import wigner_point_operator
 
 
 def _random_density(rng, n):
