@@ -18,7 +18,6 @@ from .phasespace import (
     chord_inverse,
 )
 from .states import (
-    WignerGrid,
     coherent_state,
     cat_state,
     density_from_pure,

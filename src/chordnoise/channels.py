@@ -54,18 +54,20 @@ class DiagonalChordChannel:
 
     def __post_init__(self):
         n = self.geometry.n
+        weights = np.array(self.weights)  # a copy, so the caller's array stays writeable
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.weights.shape != (n, n):
             raise ValueError(f"weight table shape {self.weights.shape}, expected {(n, n)}")
         if not np.isfinite(self.weights).all():
             raise ValueError("channel weights must be finite")
-        if self.weights.min() < -1e-12:
+        if not self.weights.min() >= -1e-12:
             raise ValueError(f"negative channel weight {self.weights.min()}")
         total = float(self.weights.sum())
-        if abs(total - n) > 1e-10:
+        if not abs(total - n) <= 1e-10:
             raise ValueError(f"weights must sum to N={n}, got {total}")
-        self.weights.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -131,10 +133,10 @@ def make_gaussian(geom: TorusGeometry, sigma: float) -> DiagonalChordChannel:
     n = geom.n
     spec = _gaussian_spectrum_table(geom, sigma)
     w = _weights_from_spectrum(spec)
-    if np.abs(w.imag).max() > 1e-12:
+    if not np.abs(w.imag).max() <= 1e-12:
         raise ValueError("Gaussian weight table came out complex")
     w = w.real
-    if w.min() < -1e-12:
+    if not w.min() >= -1e-12:
         raise ValueError(f"Gaussian weights negative beyond tolerance: min {w.min()}")
     w = np.clip(w, 0.0, None)
     w *= n / w.sum()

@@ -78,15 +78,15 @@ def _build_channel(args, geom: TorusGeometry):
     return make_gaussian(geom, args.sigma)
 
 
-def _channel_config(args) -> dict:
-    return {
-        "command": args.command,
-        "n": args.n,
-        "family": args.family,
-        "epsilon": args.epsilon,
-        "line": args.line,
-        "sigma": args.sigma,
-    }
+def _config(args) -> dict:
+    """Every parsed flag of the run, for the output header."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out", "format", "config")}
+
+
+def _grid_rows(*grids):
+    """(jq, jp, *values) rows over equally shaped 2-D grids, row-major, as Python scalars."""
+    index = np.indices(grids[0].shape).reshape(2, -1)
+    return zip(*index.tolist(), *(g.ravel().tolist() for g in grids))
 
 
 def _parse_centers(raw: str):
@@ -100,10 +100,7 @@ def cmd_channel_spectrum(args) -> None:
     geom = TorusGeometry(args.n)
     ch = _build_channel(args, geom)
     vals = channel_spectrum(ch).values
-    rows = [
-        (q, p, vals[q, p].real, vals[q, p].imag) for q in range(args.n) for p in range(args.n)
-    ]
-    _write_table(args.out, args.format, _channel_config(args), ["q", "p", "re", "im"], rows)
+    _write_table(args.out, args.format, _config(args), ["q", "p", "re", "im"], _grid_rows(vals.real, vals.imag))
 
 
 def cmd_evolve(args) -> None:
@@ -111,27 +108,21 @@ def cmd_evolve(args) -> None:
     ch = _build_channel(args, geom)
     c1, c2 = _parse_centers(args.centers)
     rho = density_from_pure(cat_state(geom, c1, c2))
-    w_in = wigner_function(rho).values
-    w_out = wigner_function(apply_channel(ch, rho)).values
-    cfg = _channel_config(args) | {"centers": args.centers}
-    rows = [
-        (jq, jp, w_in[jq, jp], w_out[jq, jp])
-        for jq in range(2 * args.n)
-        for jp in range(2 * args.n)
-    ]
-    _write_table(args.out, args.format, cfg, ["jq", "jp", "w_in", "w_out"], rows)
+    w_in = wigner_function(rho)
+    w_out = wigner_function(apply_channel(ch, rho))
+    _write_table(args.out, args.format, _config(args), ["jq", "jp", "w_in", "w_out"], _grid_rows(w_in, w_out))
 
 
 def cmd_wigner(args) -> None:
     geom = TorusGeometry(args.n)
     c1, c2 = _parse_centers(args.centers)
-    w = wigner_function(density_from_pure(cat_state(geom, c1, c2))).values
-    cfg = {"command": args.command, "n": args.n, "centers": args.centers}
-    rows = [(jq, jp, w[jq, jp]) for jq in range(2 * args.n) for jp in range(2 * args.n)]
-    _write_table(args.out, args.format, cfg, ["jq", "jp", "w"], rows)
+    w = wigner_function(density_from_pure(cat_state(geom, c1, c2)))
+    _write_table(args.out, args.format, _config(args), ["jq", "jp", "w"], _grid_rows(w))
 
 
 def cmd_propagator_spectrum(args) -> None:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0 (0 = all), got {args.count}")
     geom = TorusGeometry(args.n)
     try:
         a, b, c, d = (int(x) for x in args.map.split(","))
@@ -141,22 +132,12 @@ def cmd_propagator_spectrum(args) -> None:
     tp = build_noisy_propagator(make_gaussian(geom, args.sigma), u, args.a_coeff)
     count = args.count if args.count else tp.dim
     spec = leading_spectrum(tp, count)
-    cfg = {
-        "command": args.command,
-        "n": args.n,
-        "sigma": args.sigma,
-        "k": args.k,
-        "map": args.map,
-        "a_coeff": args.a_coeff,
-        "dim": tp.dim,
-    }
     rows = [
         (z.real, z.imag, abs(z), float(np.angle(z)), float(-np.log(abs(z))) if abs(z) > 0 else float("inf"))
         for z in spec.eigenvalues
     ]
-    _write_table(
-        args.out, args.format, cfg, ["re", "im", "modulus", "phase", "neg_log_modulus"], rows
-    )
+    columns = ["re", "im", "modulus", "phase", "neg_log_modulus"]
+    _write_table(args.out, args.format, _config(args) | {"dim": tp.dim}, columns, rows)
 
 
 def cmd_stability(args) -> None:

@@ -76,11 +76,11 @@ def quantize_linear_map(geom: TorusGeometry, m: LinearMapSpec) -> np.ndarray:
         npr = k[:, None]
         u = np.exp(1j * np.pi * (m.a * nn**2 - 2 * nn * npr + m.d * npr**2) / (n * m.b)) / np.sqrt(n)
     uerr = np.abs(u @ u.conj().T - np.eye(n)).max()
-    if uerr > 1e-12:
+    if not uerr <= 1e-12:
         raise ValueError(f"kernel for {m} at N={n} is not unitary (deviation {uerr:.2e})")
     for probe in ((1, 0), (0, 1)):
         res = _covariance_residual(geom, u, m, probe)
-        if res > 1e-10:
+        if not res <= 1e-10:
             raise ValueError(
                 f"kernel for {m} at N={n} breaks covariance on T_{probe} (residual {res:.2e})"
             )
@@ -89,6 +89,8 @@ def quantize_linear_map(geom: TorusGeometry, m: LinearMapSpec) -> np.ndarray:
 
 def nonlinear_kick(geom: TorusGeometry, k: float) -> np.ndarray:
     """Position-diagonal kick diag(exp[-i (k N / 2 pi) cos(2 pi n / N)])."""
+    if not np.isfinite(k):
+        raise ValueError(f"kick strength must be finite, got {k}")
     n = geom.n
     phases = -1j * (k * n / (2 * np.pi)) * np.cos(2 * np.pi * np.arange(n) / n)
     return np.diag(np.exp(phases))

@@ -85,14 +85,14 @@ def build_noisy_propagator(
     the full (untruncated) build, capped at oracle scale. u must be an N x N
     unitary.
     """
-    if a_coeff <= 0:
-        raise ValueError(f"truncation coefficient must be positive, got {a_coeff}")
+    if not (np.isfinite(a_coeff) and a_coeff > 0):
+        raise ValueError(f"truncation coefficient must be finite and positive, got {a_coeff}")
     geom = ch.geometry
     n = geom.n
     if u.shape != (n, n):
         raise ValueError(f"unitary shape {u.shape} does not match N={n}")
     uerr = np.abs(u @ u.conj().T - np.eye(n)).max()
-    if uerr > 1e-10:
+    if not uerr <= 1e-10:
         raise ValueError(f"u is not unitary (deviation {uerr:.2e})")
     full = False
     if ch.sigma is None:

@@ -15,14 +15,11 @@ alone also sums to Tr(rho).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .phasespace import TorusGeometry
 
 __all__ = [
-    "WignerGrid",
     "coherent_state",
     "cat_state",
     "density_from_pure",
@@ -36,6 +33,8 @@ _M_MAX = 3
 
 def coherent_state(geom: TorusGeometry, q0: float, p0: float) -> np.ndarray:
     """Normalized Gaussian wavepacket centered at (q0, p0), both in [0, 1)."""
+    if not np.isfinite([q0, p0]).all():
+        raise ValueError(f"packet center must be finite, got ({q0}, {p0})")
     n = geom.n
     x = np.arange(n) / n
     amp = np.zeros(n, dtype=complex)
@@ -53,56 +52,44 @@ def cat_state(geom: TorusGeometry, c1, c2) -> np.ndarray:
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
     """Rank-one projector |psi><psi| from a normalized state vector."""
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:
         raise ValueError(f"state vector not normalized: |psi| = {nrm}")
     return np.outer(psi, psi.conj())
 
 
-@dataclass(frozen=True)
-class WignerGrid:
-    """Real Wigner values on the 2N x 2N half-integer grid, indexed [q, p]."""
-
-    geometry: TorusGeometry
-    values: np.ndarray
-
-    def __post_init__(self):
-        two_n = 2 * self.geometry.n
-        if self.values.shape != (two_n, two_n):
-            raise ValueError(f"grid shape {self.values.shape}, expected {(two_n, two_n)}")
-        self.values.setflags(write=False)
-
-
-def wigner_function(rho: np.ndarray) -> WignerGrid:
-    """Wigner table W[q, p] = Tr(rho A(q, p)) over the full 2N x 2N grid.
+def wigner_function(rho: np.ndarray) -> np.ndarray:
+    """Read-only Wigner table W[q, p] = Tr(rho A(q, p)) over the full 2N x 2N grid.
 
     Computed with one FFT per anti-diagonal of rho:
     Tr(rho U^q R V^(-p)) = sum_k rho[k, (q-k) mod N] exp(-2*pi*i*k*p/N),
     which depends on (q, p) only mod N; the half-integer structure enters
-    through the prefactor exp(i*pi*q*p/N). Raises on non-Hermitian input,
-    for which the trace is not real.
+    through the prefactor exp(i*pi*q*p/N). Raises on non-Hermitian or
+    non-finite input, for which the trace is not a real number.
     """
     n = rho.shape[0]
     if rho.shape != (n, n):
         raise ValueError(f"density matrix must be square, got {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > 1e-9:
-        raise ValueError("input is not Hermitian; Wigner values would be complex")
-    geom = TorusGeometry(n)
+    TorusGeometry(n)  # rejects N < 2
+    if not np.abs(rho - rho.conj().T).max() <= 1e-9:
+        raise ValueError("input is not a finite Hermitian matrix; Wigner values would not be real")
     m = np.arange(n)
     anti = rho[m[None, :], (m[:, None] - m[None, :]) % n]
     f = np.fft.fft(anti, axis=1)
     qq = np.arange(2 * n)[:, None]
     pp = np.arange(2 * n)[None, :]
     w = np.exp(1j * np.pi * qq * pp / n) * f[qq % n, pp % n] / (2 * n)
-    return WignerGrid(geometry=geom, values=np.ascontiguousarray(w.real))
+    w = np.ascontiguousarray(w.real)
+    w.setflags(write=False)
+    return w
 
 
-def wigner_overlap(g1: WignerGrid, g2: WignerGrid) -> float:
+def wigner_overlap(w1: np.ndarray, w2: np.ndarray) -> float:
     """Tr(rho1 rho2) recovered from the two Wigner tables.
 
     With the 1/2N point-operator normalization the full-grid product
     satisfies N * sum_x W1(x) W2(x) = Tr(rho1 rho2); the constant N is pinned
     by the overlap test against hs_inner.
     """
-    if g1.geometry != g2.geometry:
-        raise ValueError("grids live on different tori")
-    return g1.geometry.n * float(np.sum(g1.values * g2.values))
+    if w1.shape != w2.shape:
+        raise ValueError(f"Wigner grids of shapes {w1.shape} and {w2.shape} live on different tori")
+    return w1.shape[0] // 2 * float(np.sum(w1 * w2))

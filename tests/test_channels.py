@@ -198,6 +198,14 @@ def test_non_finite_noise_rejected(bad):
         DiagonalChordChannel(g, 0.5, w)
 
 
+def test_channel_copies_caller_weights():
+    w = np.full((8, 8), 1.0 / 8)
+    ch = DiagonalChordChannel(TorusGeometry(8), 0.5, w)
+    assert w.flags.writeable and not ch.weights.flags.writeable
+    w[0, 0] = 3.0
+    assert ch.weights[0, 0] == 1.0 / 8
+
+
 def test_gaussian_negative_weights_reported():
     # at N*sigma this small the centered Gaussian spectrum is still large at
     # the zone edge and its inverse transform dips negative

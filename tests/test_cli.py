@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import chordnoise.cli
 from chordnoise import (
     TorusGeometry,
     cat_state,
+    channel_spectrum,
     density_from_pure,
+    line_points,
+    make_phase_damping_line,
     wigner_function,
 )
 from chordnoise.cli import main
@@ -100,7 +104,7 @@ def test_evolve_acts_linearly(tmp_path):
     rows = doc["rows"]
     w_in = np.array([r[2] for r in rows]).reshape(64, 64)
     w_out = np.array([r[3] for r in rows]).reshape(64, 64)
-    w_flat = wigner_function(np.eye(32, dtype=complex) / 32).values
+    w_flat = wigner_function(np.eye(32, dtype=complex) / 32)
     assert_allclose(w_out, 0.1 * w_in + 0.9 * w_flat, atol=1e-13)
 
 
@@ -112,7 +116,7 @@ def test_wigner_matches_library(tmp_path):
     assert columns == ["jq", "jp", "w"]
     grid = np.array([r[2] for r in rows]).reshape(32, 32)
     g = TorusGeometry(16)
-    expected = wigner_function(density_from_pure(cat_state(g, (0.4, 0.25), (0.6, 0.75)))).values
+    expected = wigner_function(density_from_pure(cat_state(g, (0.4, 0.25), (0.6, 0.75))))
     assert_allclose(grid, expected, atol=1e-13)
 
 
@@ -155,6 +159,67 @@ def test_negative_count_is_an_error(tmp_path, capsys):
     assert main(["propagator-spectrum", *small, "--out", str(f2)]) == 0
     assert main(["stability", "--inputs", str(f1), str(f2), "--count", "-1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_negative_count_refused_before_build(tmp_path, capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("propagator built for a count that is refused anyway")
+
+    monkeypatch.setattr(chordnoise.cli, "build_noisy_propagator", build)
+    rc = main(["propagator-spectrum", "--a-coeff", "4.8", "--count", "-1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "error: --count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_flags_are_errors(tmp_path, capsys, bad):
+    out = str(tmp_path / "x.csv")
+    small = ["propagator-spectrum", "--n", "20", "--sigma", "0.3", "--out", out]
+    for argv in (
+        ["evolve", "--n", "8", "--family", "depolarizing", "--centers", f"{bad},0.2,0.3,0.4", "--out", out],
+        ["wigner", "--n", "8", "--centers", f"0.1,0.2,0.3,{bad}", "--out", out],
+        small + ["--k", bad],
+        small + ["--a-coeff", bad],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err, err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_text_format_pinned(tmp_path, fmt):
+    # index columns print as integers and every value round-trips exactly
+    def table(argv):
+        out = tmp_path / f"t.{fmt}"
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        if fmt == "json":
+            rows = json.loads(out.read_text())["rows"]
+            assert all(type(r[0]) is int and type(r[1]) is int for r in rows)
+            return np.array(rows)
+        rows = list(csv.reader(out.read_text().splitlines()[2:]))
+        assert all(r[0] == str(int(r[0])) and r[1] == str(int(r[1])) for r in rows)
+        return np.array(rows, dtype=float)
+
+    g = TorusGeometry(8)
+    rows = table(["wigner", "--n", "8"])
+    w = wigner_function(density_from_pure(cat_state(g, (0.4, 0.25), (0.6, 0.75))))
+    assert np.array_equal(rows[:, :2], np.indices(w.shape).reshape(2, -1).T)
+    assert np.array_equal(rows[:, 2], w.ravel())
+
+    rows = table(["channel-spectrum", "--n", "8", "--family", "pdc-line", "--line", "1,2,1", "--epsilon", "0.3"])
+    vals = channel_spectrum(make_phase_damping_line(g, line_points(g, 1, 2, 1), 0.3)).values
+    assert np.abs(vals.imag).max() > 0.1
+    assert np.array_equal(rows[:, :2], np.indices(vals.shape).reshape(2, -1).T)
+    assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], vals.ravel())
+
+
+def test_propagator_header_holds_every_flag(tmp_path):
+    out = tmp_path / "p.csv"
+    argv = ["--n", "20", "--sigma", "0.3", "--k", "0.05", "--map", "2,1,1,1", "--a-coeff", "4.0", "--count", "3"]
+    assert main(["propagator-spectrum", *argv, "--out", str(out)]) == 0
+    config, _, _ = _read_csv(out)
+    assert config == {"command": "propagator-spectrum", "n": 20, "sigma": 0.3, "k": 0.05, "map": "2,1,1,1",
+                      "a_coeff": 4.0, "count": 3, "dim": 16}
 
 
 def test_config_file_with_override(tmp_path):

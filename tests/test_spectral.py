@@ -118,6 +118,17 @@ def test_build_rejects_non_unitary_map():
         build_noisy_propagator(ch, u[:, :-1], 2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_rejects_non_finite_input(bad):
+    g, u, ch = _standard_setup(n=20, sigma=0.3)
+    with pytest.raises(ValueError, match="finite"):
+        nonlinear_kick(g, bad)
+    with pytest.raises(ValueError, match="not unitary"):
+        build_noisy_propagator(ch, np.full_like(u, bad), 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        build_noisy_propagator(ch, u, bad)
+
+
 def test_refinement_is_monotone():
     # enlarging the window moves the top eigenvalues toward the a=4.8 values
     _, u, ch = _standard_setup()

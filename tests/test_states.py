@@ -78,27 +78,27 @@ def test_wigner_matches_point_operator_oracle():
         for p in range(2 * n):
             tr = np.trace(rho @ wigner_point_operator(g, q, p))
             assert abs(tr.imag) < 1e-13
-            assert w.values[q, p] == pytest.approx(tr.real, abs=1e-13)
+            assert w[q, p] == pytest.approx(tr.real, abs=1e-13)
 
 
 @pytest.mark.parametrize("n", [5, 8, 32])
 def test_wigner_full_grid_sums_to_trace(n):
     rho = _random_density(np.random.default_rng(n), n)
-    assert wigner_function(rho).values.sum() == pytest.approx(1.0, abs=1e-12)
+    assert wigner_function(rho).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 32])
 def test_wigner_even_even_subgrid_sums_to_trace(n):
     # even N only: the integer-integer points alone already resolve the trace
     rho = _random_density(np.random.default_rng(n + 1), n)
-    assert wigner_function(rho).values[0::2, 0::2].sum() == pytest.approx(1.0, abs=1e-12)
+    assert wigner_function(rho)[0::2, 0::2].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wigner_of_maximally_mixed():
     # under the 2N-grid convention I/N is flat on the even-even sublattice
     # (value 1/N^2) and exactly zero on the three other parity classes
     n = 8
-    w = wigner_function(np.eye(n) / n).values
+    w = wigner_function(np.eye(n) / n)
     assert_allclose(w[0::2, 0::2], 1.0 / n**2, atol=1e-15)
     assert np.abs(w[1::2, :]).max() < 1e-15
     assert np.abs(w[:, 1::2]).max() < 1e-15
@@ -109,8 +109,8 @@ def test_wigner_linearity():
     n = 6
     r1, r2 = _random_density(rng, n), _random_density(rng, n)
     a = 0.3
-    mixed = wigner_function(a * r1 + (1 - a) * r2).values
-    combo = a * wigner_function(r1).values + (1 - a) * wigner_function(r2).values
+    mixed = wigner_function(a * r1 + (1 - a) * r2)
+    combo = a * wigner_function(r1) + (1 - a) * wigner_function(r2)
     assert_allclose(mixed, combo, atol=1e-12)
 
 
@@ -131,6 +131,28 @@ def test_wigner_rejects_non_hermitian():
         wigner_function(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_states_reject_non_finite_input(bad):
+    g = TorusGeometry(8)
+    with pytest.raises(ValueError, match="finite"):
+        coherent_state(g, bad, 0.25)
+    with pytest.raises(ValueError, match="finite"):
+        cat_state(g, (0.4, 0.25), (0.6, bad))
+    psi = np.full(8, 1 / np.sqrt(8), dtype=complex)
+    psi[3] = bad
+    with pytest.raises(ValueError, match="normalized"):
+        density_from_pure(psi)
+    rho = np.eye(8, dtype=complex) / 8
+    rho[2, 2] = bad
+    with pytest.raises(ValueError, match="finite Hermitian"):
+        wigner_function(rho)
+
+
+def test_wigner_rejects_too_small_torus():
+    with pytest.raises(ValueError, match=">= 2"):
+        wigner_function(np.ones((1, 1)))
+
+
 def test_wigner_overlap_geometry_mismatch():
     w5 = wigner_function(np.eye(5) / 5)
     w6 = wigner_function(np.eye(6) / 6)
@@ -140,7 +162,7 @@ def test_wigner_overlap_geometry_mismatch():
 
 def test_coherent_wigner_blob_location():
     g = TorusGeometry(32)
-    w = wigner_function(density_from_pure(coherent_state(g, 0.4, 0.25))).values
+    w = wigner_function(density_from_pure(coherent_state(g, 0.4, 0.25)))
     qi, pi = np.unravel_index(np.argmax(w), w.shape)
     # blob argmax lands on the grid point nearest (0.4, 0.25) * 2N = (25.6, 16)
     assert (qi, pi) == (26, 16)
@@ -149,7 +171,7 @@ def test_coherent_wigner_blob_location():
 def test_cat_wigner_blobs_and_fringes():
     g = TorusGeometry(32)
     rho = density_from_pure(cat_state(g, (0.4, 0.25), (0.6, 0.75)))
-    w = wigner_function(rho).values
+    w = wigner_function(rho)
 
     def window_argmax(center, r=4):
         q0, p0 = center
