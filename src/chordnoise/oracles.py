@@ -167,7 +167,7 @@ def chord_supermatrix(geom: TorusGeometry, u: np.ndarray) -> np.ndarray:
 
     Column lam holds the chord coefficients of U T_lam U^dag, so the matrix
     propagates chord coefficient vectors under conjugation by U. Built
-    column by column; the spectral module windows the same columns directly.
+    column by column from the dense U T_lam U^dag and its chord transform.
     """
     n = geom.n
     check_oracle_scale(n, "full supermatrix")

@@ -8,6 +8,11 @@ N^2-dimensional L survives restriction to the window. Kept offsets per axis
 are the integers in [-W, W) with W = floor(a/(2*pi*sigma)), the same
 half-open convention as the centered representatives themselves; the window
 dimension is then exactly 4 W^2.
+
+Each T_lam has one nonzero per column, so for canonical labels
+lam' = (q', p'), lam = (q, p) the trace is a bilinear form in U's entries:
+Tr[T_lam'^dag U T_lam U^dag] = e^{i pi (p q - p' q')/N} [F M F^dag]_{p', p}
+with M[a, d] = U[a+q', d+q] conj(U[a, d]) (mod N) and F[p, a] = e^{-2 pi i p a/N}.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .channels import DiagonalChordChannel, channel_spectrum
 from .oracles import check_oracle_scale
-from .phasespace import TorusGeometry, chord_transform, translation_operator
+from .phasespace import TorusGeometry
 
 __all__ = [
     "TruncatedPropagator",
@@ -77,13 +82,12 @@ def build_noisy_propagator(
 ) -> TruncatedPropagator:
     """Windowed matrix of (noise after map) on chord coefficients.
 
-    Only the kept columns of the unitary supermatrix are ever formed: column
-    lam is the chord transform of U T_lam U^dag restricted to kept rows, and
-    row lam' is scaled by the channel eigenvalue Sigma(lam'). For a Gaussian
-    channel the window follows the module convention above; a window reaching
-    N/2 degrades to the full grid with a warning. Channels without sigma get
-    the full (untruncated) build, capped at oracle scale. u must be an N x N
-    unitary.
+    Each entry is read off u itself by the trace formula above, one (q', q)
+    block of the window at a time: O(k N^2) work per block for k kept offsets
+    per axis. For a Gaussian channel the window follows the module convention; a
+    window reaching N/2 degrades to the full grid with a warning. Channels
+    without sigma get the full build. Every full build is capped at oracle
+    scale. u must be a finite N x N unitary.
     """
     if not (np.isfinite(a_coeff) and a_coeff > 0):
         raise ValueError(f"truncation coefficient must be finite and positive, got {a_coeff}")
@@ -91,49 +95,45 @@ def build_noisy_propagator(
     n = geom.n
     if u.shape != (n, n):
         raise ValueError(f"unitary shape {u.shape} does not match N={n}")
-    uerr = np.abs(u @ u.conj().T - np.eye(n)).max()
+    uerr = np.abs(u @ u.conj().T - np.eye(n)).max() if np.isfinite(u).all() else np.inf
     if not uerr <= 1e-10:
         raise ValueError(f"u is not unitary (deviation {uerr:.2e})")
-    full = False
-    if ch.sigma is None:
+    full = ch.sigma is None
+    if full:
         check_oracle_scale(n, "full build for a channel with no sigma")
-        full = True
     else:
         w = int(np.floor(a_coeff / (2 * np.pi * ch.sigma)))
         if w < 1:
-            raise ValueError(
-                f"window floor(a/(2 pi sigma)) = {w} keeps no modes; increase a_coeff"
-            )
-        if 2 * w >= n:
-            warnings.warn(
-                f"window half-width {w} covers the whole grid at N={n}; building the full propagator",
-                stacklevel=2,
-            )
-            full = True
+            raise ValueError(f"window floor(a/(2 pi sigma)) = {w} keeps no modes; increase a_coeff")
+        full = 2 * w >= n
+        if full:
+            check_oracle_scale(n, f"full build for a window of half-width {w}")
+            msg = f"window half-width {w} covers the whole grid at N={n}; building the full propagator"
+            warnings.warn(msg, stacklevel=2)
 
     offs = np.arange(n) if full else np.arange(-w, w) % n
+    k = len(offs)
     kept = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
-    rows_q, rows_p = kept[:, 0], kept[:, 1]
-    sigma_vals = channel_spectrum(ch).values[rows_q, rows_p]
-
-    dim = len(kept)
-    mat = np.empty((dim, dim), dtype=complex)
-    udag = u.conj().T
-    for j, (q, p) in enumerate(kept.tolist()):
-        v = u @ translation_operator(geom, (q, p)) @ udag
-        mat[:, j] = chord_transform(v, geom)[rows_q, rows_p] / np.sqrt(n)
-    mat *= sigma_vals[:, None]
-    return TruncatedPropagator(
-        geometry=geom,
-        sigma=ch.sigma,
-        a_coeff=a_coeff,
-        kept_modes=kept,
-        matrix=mat,
-    )
+    f = np.exp(-2j * np.pi * np.outer(offs, np.arange(n)) / n)
+    fdag, ubar = f.conj().T, u.conj()
+    blocks = np.empty((k, k, k, k), dtype=complex)  # [q', p', q, p]
+    for i, qr in enumerate(offs.tolist()):
+        for j, qc in enumerate(offs.tolist()):
+            blocks[i, :, j, :] = f @ (np.roll(u, (-qr, -qc), axis=(0, 1)) * ubar) @ fdag
+    # in place: rows take Sigma(q', p') e^{-i pi p'q'/N} / N, columns e^{+i pi p q/N}
+    half = np.exp(1j * np.pi * np.outer(offs, offs) / n)
+    blocks *= (channel_spectrum(ch).values[np.ix_(offs, offs)] * half.conj() / n)[:, :, None, None]
+    blocks *= half
+    mat = blocks.reshape(k * k, k * k)
+    return TruncatedPropagator(geometry=geom, sigma=ch.sigma, a_coeff=a_coeff, kept_modes=kept, matrix=mat)
 
 
 def sort_by_modulus(vals: np.ndarray) -> np.ndarray:
-    """Descending modulus, ties broken by ascending phase in [0, 2*pi)."""
+    """Descending modulus, ties broken by ascending phase in [0, 2*pi).
+
+    Only exactly equal moduli tie, so a conjugate pair a rounding error apart
+    in modulus may come out in either order; stability_report pairs for that.
+    """
     phases = np.angle(vals) % (2 * np.pi)
     order = np.lexsort((phases, -np.abs(vals)))
     return vals[order]
@@ -143,8 +143,7 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     """Top `count` eigenvalues of the windowed matrix.
 
     Dense full eigendecomposition; LinAlgError from a non-converging solver
-    propagates as-is. Window dimensions stay in the hundreds, so a partial
-    solver would buy nothing.
+    propagates as-is.
     """
     if not 1 <= count <= tp.dim:
         raise ValueError(f"requested {count} eigenvalues; a dim-{tp.dim} propagator has 1 to {tp.dim}")

@@ -70,7 +70,7 @@ def wigner_function(rho: np.ndarray) -> np.ndarray:
     if rho.shape != (n, n):
         raise ValueError(f"density matrix must be square, got {rho.shape}")
     TorusGeometry(n)  # rejects N < 2
-    if not np.abs(rho - rho.conj().T).max() <= 1e-9:
+    if not (np.isfinite(rho).all() and np.abs(rho - rho.conj().T).max() <= 1e-9):
         raise ValueError("input is not a finite Hermitian matrix; Wigner values would not be real")
     m = np.arange(n)
     anti = rho[m[None, :], (m[:, None] - m[None, :]) % n]

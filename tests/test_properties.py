@@ -1,4 +1,7 @@
-"""Property tests: the Wigner identities and the chord round trip over random inputs, N <= 12."""
+"""Property tests over random inputs, N <= 12: the Wigner identities, the
+chord round trip, and the windowed propagator against the full supermatrix."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +11,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chordnoise import TorusGeometry, chord_inverse, chord_transform, wigner_function, wigner_overlap
+from chordnoise import (
+    DiagonalChordChannel,
+    TorusGeometry,
+    build_noisy_propagator,
+    channel_spectrum,
+    chord_inverse,
+    chord_transform,
+    wigner_function,
+    wigner_overlap,
+)
+from chordnoise.oracles import chord_supermatrix
 
 SMALL = settings(max_examples=30, deadline=None)
 _ENTRY = st.floats(-1.0, 1.0, allow_nan=False)
@@ -56,3 +69,50 @@ def test_wigner_overlap_is_hs_inner(pair):
 def test_chord_round_trip(a):
     geom = TorusGeometry(a.shape[0])
     assert np.abs(chord_inverse(chord_transform(a, geom)) - a).max() < 1e-12
+
+
+SIGMA = 0.1
+BUILDS = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def windowed_maps(draw):
+    """A random unitary and random-weight channel declaring SIGMA, with half-widths w1 <= w2.
+
+    w2 runs up to (N+1)//2, where the window covers the whole grid.
+    """
+    n = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    w = rng.random((n, n))
+    ch = DiagonalChordChannel(TorusGeometry(n), float(rng.uniform()), w * n / w.sum(), sigma=SIGMA)
+    w2 = draw(st.integers(1, (n + 1) // 2))
+    return ch, u, draw(st.integers(1, w2)), w2
+
+
+def _build(ch, u, half_width):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the full-grid window warns
+        return build_noisy_propagator(ch, u, (half_width + 0.5) * 2 * np.pi * SIGMA)
+
+
+@BUILDS
+@given(windowed_maps())
+def test_window_is_sigma_times_supermatrix(case):
+    ch, u, _, w2 = case
+    tp = _build(ch, u, w2)
+    n = ch.geometry.n
+    assert tp.dim == min(4 * w2**2, n * n)
+    full = channel_spectrum(ch).values.ravel()[:, None] * chord_supermatrix(ch.geometry, u)
+    idx = tp.kept_modes[:, 0] * n + tp.kept_modes[:, 1]
+    assert np.abs(tp.matrix - full[np.ix_(idx, idx)]).max() < 1e-13
+
+
+@BUILDS
+@given(windowed_maps())
+def test_smaller_window_is_submatrix(case):
+    ch, u, w1, w2 = case
+    small, large = _build(ch, u, w1), _build(ch, u, w2)
+    pos = {mode: i for i, mode in enumerate(map(tuple, large.kept_modes.tolist()))}
+    idx = [pos[mode] for mode in map(tuple, small.kept_modes.tolist())]
+    assert np.abs(small.matrix - large.matrix[np.ix_(idx, idx)]).max() < 1e-13

@@ -1,5 +1,8 @@
 """Window construction, eigenvalue ordering and spectral stability."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -68,6 +71,24 @@ def test_no_sigma_builds_full_and_caps():
     n = ORACLE_N_CAP + 1
     with pytest.raises(ValueError, match="no sigma.*capped"):
         build_noisy_propagator(make_depolarizing(TorusGeometry(n), 0.3), np.eye(n, dtype=complex), 2.0)
+
+
+def test_grid_covering_window_is_capped():
+    # a window reaching N/2 degrades to the full N^2 x N^2 build, which is
+    # refused above the oracle cap before any of it is allocated
+    n = ORACLE_N_CAP + 1
+    ch = make_gaussian(TorusGeometry(n), 0.1)
+    u = np.eye(n, dtype=complex)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="half-width 9 is capped"):
+                build_noisy_propagator(ch, u, 6.0)  # W = 9, 2W >= N
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n**4 / 10  # a tenth of the complex N^2 x N^2 matrix
 
 
 def test_truncation_is_submatrix_of_full_operator():
