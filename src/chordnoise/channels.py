@@ -125,20 +125,25 @@ def make_gaussian(geom: TorusGeometry, sigma: float) -> DiagonalChordChannel:
 
     Ctilde(mu, nu) = exp[-2 pi^2 sigma^2 (mu_c^2 + nu_c^2)] with (mu_c, nu_c)
     the representative of (mu, nu) in [-N/2, N/2)^2; eps = 1. The weight table
-    is the inverse chord-spectrum transform, checked nonnegative (theta
-    functions of this width are) and renormalized to sum N.
+    is the inverse chord-spectrum transform, renormalized to sum N. It is
+    checked nonnegative (theta functions of this width are) through its
+    separable 1-D factor before it is formed: a sigma too narrow for N cuts
+    the spectrum off at the zone edge, the weights dip negative, and the
+    error names the smallest admissible sigma above it for that N.
     """
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
     n = geom.n
-    spec = _gaussian_spectrum_table(geom, sigma)
-    w = _weights_from_spectrum(spec)
+    floor = _gaussian_weight_floor(n, sigma)
+    if not floor >= -1e-12:
+        raise ValueError(
+            f"Gaussian weights negative beyond tolerance (min {floor:.2e}) for sigma={sigma} at N={n}; "
+            f"the smallest admissible sigma above it at N={n} is {_smallest_gaussian_sigma(n, sigma):.4g}"
+        )
+    w = _weights_from_spectrum(_gaussian_spectrum_table(geom, sigma))
     if not np.abs(w.imag).max() <= 1e-12:
         raise ValueError("Gaussian weight table came out complex")
-    w = w.real
-    if not w.min() >= -1e-12:
-        raise ValueError(f"Gaussian weights negative beyond tolerance: min {w.min()}")
-    w = np.clip(w, 0.0, None)
+    w = np.clip(w.real, 0.0, None)
     w *= n / w.sum()
     return DiagonalChordChannel(geom, 1.0, w, sigma=sigma)
 
@@ -154,6 +159,33 @@ def _gaussian_spectrum_table(geom: TorusGeometry, sigma: float) -> np.ndarray:
     mu = _centered(n)[:, None]
     nu = _centered(n)[None, :]
     return np.exp(-2.0 * np.pi**2 * sigma**2 * (mu**2 + nu**2))
+
+
+def _gaussian_weight_floor(n: int, sigma: float) -> float:
+    """min(0, smallest entry of make_gaussian's weight table), in O(N log N).
+
+    The spectrum is g(mu) g(nu), with g even on Z_N, so the weight table is
+    the outer product f f^T of the real f = fft(g)/sqrt(N), whose largest
+    entry f[0] is positive: its minimum is f[0] * min(f) once min(f) < 0.
+    """
+    g = np.exp(-2.0 * np.pi**2 * sigma**2 * _centered(n) ** 2)
+    f = np.fft.fft(g).real / np.sqrt(n)
+    return f.max() * min(f.min(), 0.0)
+
+
+def _smallest_gaussian_sigma(n: int, sigma: float) -> float:
+    """Smallest admissible sigma above the inadmissible `sigma` at N.
+
+    Bisection on _gaussian_weight_floor; the end of the bracket that is
+    returned passes make_gaussian's check.
+    """
+    lo, hi = sigma, 2 * sigma
+    while not _gaussian_weight_floor(n, hi) >= -1e-12:
+        lo, hi = hi, 2 * hi
+    for _ in range(50):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if _gaussian_weight_floor(n, mid) >= -1e-12 else (mid, hi)
+    return hi
 
 
 def _spectrum_from_weights(w: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import PhasePoint, TorusGeometry, translation_operator
+from .phasespace import PhasePoint, TorusGeometry, _translation_action
 
 __all__ = [
     "LinearMapSpec",
@@ -46,12 +46,20 @@ class LinearMapSpec:
 
 
 def _covariance_residual(geom: TorusGeometry, u: np.ndarray, m: LinearMapSpec, alpha) -> float:
-    """How far U T_alpha U^dag is from the ray of T_{M alpha}."""
-    n = geom.n
-    lhs = u @ translation_operator(geom, alpha) @ u.conj().T
-    target = translation_operator(geom, m.apply(alpha, n))
-    phase = np.trace(target.conj().T @ lhs) / n
-    return float(np.abs(lhs - phase * target).max())
+    """Frobenius distance of U T_alpha from the ray of T_{M alpha} U, O(N^2).
+
+    Both products are phased permutations of U's columns and rows, the phase
+    is c = Tr(T_{M alpha}^dag U T_alpha U^dag)/N = <T_{M alpha} U, U T_alpha>/N,
+    and for unitary U the distance equals ||U T_alpha U^dag - c T_{M alpha}||_F,
+    which bounds every entry of that difference.
+    """
+    rows, phases = _translation_action(geom, alpha)
+    lhs = u[:, rows] * phases
+    rows, phases = _translation_action(geom, m.apply(alpha, geom.n))
+    target = np.empty_like(u)
+    target[rows] = phases[:, None] * u
+    c = np.vdot(target, lhs) / geom.n
+    return float(np.linalg.norm(lhs - c * target))
 
 
 def quantize_linear_map(geom: TorusGeometry, m: LinearMapSpec) -> np.ndarray:

@@ -74,12 +74,22 @@ def translation_operator(geom: TorusGeometry, alpha) -> np.ndarray:
     factors stated in the module docstring.
     """
     n = geom.n
+    rows, phases = _translation_action(geom, alpha)
+    t = np.zeros((n, n), dtype=complex)
+    t[rows, np.arange(n)] = phases
+    return t
+
+
+def _translation_action(geom: TorusGeometry, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """T_(q,p) as a phased permutation: T|n> = phases[n] |rows[n]>.
+
+    So (A T)[:, n] = phases[n] A[:, rows[n]] and (T A)[rows[n], :] =
+    phases[n] A[n, :], each O(N^2) with no N x N operator formed.
+    """
+    n = geom.n
     q, p = alpha
     cols = np.arange(n)
-    phases = np.exp(2j * np.pi * p * (cols + q / 2.0) / n)
-    t = np.zeros((n, n), dtype=complex)
-    t[(cols + q) % n, cols] = phases
-    return t
+    return (cols + q) % n, np.exp(2j * np.pi * p * (cols + q / 2.0) / n)
 
 
 def composition_phase(geom: TorusGeometry, a1, a2) -> complex:

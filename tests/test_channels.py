@@ -213,6 +213,21 @@ def test_gaussian_negative_weights_reported():
         make_gaussian(TorusGeometry(10), 0.063)
 
 
+def test_gaussian_error_names_sigma_limit():
+    from chordnoise.channels import _smallest_gaussian_sigma
+
+    # N=17, sigma=0.063 dips to -3.3e-4; the error names sigma, N and the
+    # smallest admissible sigma above it, which must itself be admissible
+    g = TorusGeometry(17)
+    with pytest.raises(ValueError, match=r"sigma=0\.063 at N=17") as err:
+        make_gaussian(g, 0.063)
+    assert abs(float(str(err.value).rsplit(" ", 1)[1]) - 0.0856) < 5e-4
+    limit = _smallest_gaussian_sigma(17, 0.063)
+    make_gaussian(g, limit)
+    with pytest.raises(ValueError, match="negative"):
+        make_gaussian(g, limit * (1 - 1e-9))
+
+
 def test_spectrum_unitality_across_families():
     g = TorusGeometry(8)
     for ch in _families(g).values():

@@ -63,6 +63,23 @@ def test_cat_map_covariance_full_grid():
     assert worst < 1e-10
 
 
+def test_covariance_residual_is_the_frobenius_distance():
+    # ||U T - c T' U||_F equals ||U T U^dag - c T'||_F for unitary U, with
+    # c = Tr(T'^dag U T U^dag)/N; the kick breaks covariance, the cat map keeps it
+    from chordnoise.dynamics import _covariance_residual
+
+    g = TorusGeometry(12)
+    for u, covariant in ((quantize_linear_map(g, CAT), True), (quantize_linear_map(g, CAT) @ nonlinear_kick(g, 0.7), False)):
+        for alpha in ((1, 0), (3, 5), (5, 2)):  # q != 0, so the kick does not commute
+            lhs = u @ translation_operator(g, alpha) @ u.conj().T
+            target = translation_operator(g, CAT.apply(alpha, 12))
+            c = np.trace(target.conj().T @ lhs) / 12
+            dense = np.linalg.norm(lhs - c * target)
+            res = _covariance_residual(g, u, CAT, alpha)
+            assert res == pytest.approx(dense, rel=1e-9, abs=1e-13)
+            assert (res < 1e-10) == covariant
+
+
 def test_odd_dimension_rejected():
     with pytest.raises(ValueError, match="covariance"):
         quantize_linear_map(TorusGeometry(5), CAT)

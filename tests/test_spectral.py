@@ -1,5 +1,6 @@
 """Window construction, eigenvalue ordering and spectral stability."""
 
+import logging
 import tracemalloc
 import warnings
 
@@ -22,6 +23,7 @@ from chordnoise import (
     stability_report,
     translation_operator,
 )
+from chordnoise.spectral import TruncatedPropagator
 from chordnoise.oracles import ORACLE_N_CAP, chord_supermatrix
 
 CAT = LinearMapSpec(1, 1, 1, 2)
@@ -168,6 +170,10 @@ def test_noise_free_channel_keeps_unimodular_spectrum():
     tp = build_noisy_propagator(ch, u, 2.0)
     vals = leading_spectrum(tp, tp.dim).eigenvalues
     assert np.abs(np.abs(vals) - 1.0).max() < 1e-12
+    # count 10 < dim/4, so Krylov is tried first; on this unitary it falls back to dense
+    vals = leading_spectrum(tp, 10).eigenvalues
+    assert len(vals) == 10
+    assert np.abs(np.abs(vals) - 1.0).max() < 1e-12
 
 
 def test_noisy_spectrum_is_contractive():
@@ -207,3 +213,72 @@ def test_build_is_deterministic():
     e1 = leading_spectrum(t1, t1.dim).eigenvalues
     e2 = leading_spectrum(t2, t2.dim).eigenvalues
     assert np.array_equal(e1, e2)
+    # the Krylov path starts from a fixed-seed vector, so it repeats bit for bit
+    _, u, ch = _standard_setup()
+    big = [build_noisy_propagator(ch, u, 2.8) for _ in range(2)]
+    assert big[0].dim == 196
+    e1, e2 = (leading_spectrum(tp, 20).eigenvalues for tp in big)
+    assert np.array_equal(e1, e2)
+
+
+def _narrow_noise_window():
+    # sigma=0.04, k=0.2, a=2.8: dim 484
+    _, u, ch = _standard_setup(sigma=0.04, k=0.2)
+    return build_noisy_propagator(ch, u, 2.8)
+
+
+def test_krylov_top_matches_dense_eigvals():
+    tp = _narrow_noise_window()
+    assert tp.dim == 484
+    top = leading_spectrum(tp, 20).eigenvalues[:3]
+    dense = sort_by_modulus(np.linalg.eigvals(tp.matrix))[:3]
+    assert np.abs(top - dense).max() < 1e-12
+
+
+def _normal_propagator(lam, seed=7):
+    # Q diag(lam) Q^dag with Q a random unitary: every eigenvalue has condition number 1
+    rng = np.random.default_rng(seed)
+    dim = len(lam)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    kept = np.argwhere(np.ones((10, 10), dtype=bool))[:dim]
+    return TruncatedPropagator(TorusGeometry(10), 0.1, 2.0, kept, (q * lam) @ q.conj().T)
+
+
+def test_krylov_recovers_known_spectrum(caplog):
+    caplog.set_level(logging.DEBUG, logger="chordnoise.spectral")
+    phases = np.exp(2j * np.pi * np.random.default_rng(3).uniform(size=100))
+    lam = 0.9 ** np.arange(100) * phases  # distinct moduli
+    vals = leading_spectrum(_normal_propagator(lam), 12).eigenvalues
+    assert np.abs(vals - lam[:12]).max() < 1e-10
+    assert "path=krylov" in caplog.records[-1].getMessage()
+
+
+def test_repeated_eigenvalues_keep_their_multiplicity(caplog):
+    # one start vector sees one copy of each repeated eigenvalue: with two
+    # distinct values the Krylov space turns invariant at step 2, with ten
+    # the top values never pass the test; the dense solver answers both
+    caplog.set_level(logging.DEBUG, logger="chordnoise.spectral")
+    lam = np.repeat([1.0, 0.5], 50)
+    vals = leading_spectrum(_normal_propagator(lam), 3).eigenvalues
+    assert np.abs(vals - 1.0).max() < 1e-10
+    assert "path=dense krylov_dim=2 " in caplog.records[-1].getMessage()
+    assert "invariant at step 2" in caplog.records[-1].getMessage()
+    lam = np.repeat(0.8 ** np.arange(10), 10)
+    vals = leading_spectrum(_normal_propagator(lam), 12).eigenvalues
+    assert np.abs(vals - lam[:12]).max() < 1e-10
+    assert "path=dense" in caplog.records[-1].getMessage()
+
+
+def test_leading_spectrum_logs_its_path(caplog):
+    tp = _narrow_noise_window()
+    caplog.set_level(logging.DEBUG, logger="chordnoise.spectral")
+    leading_spectrum(tp, 20)
+    leading_spectrum(tp, tp.dim)
+    records = [r.getMessage() for r in caplog.records if r.name == "chordnoise.spectral"]
+    assert len(records) == 2
+    krylov, dense = records
+    for field in ("dim=484", "count=20", "path=krylov", "krylov_dim=82", "max_rel_residual="):
+        assert field in krylov
+    assert "reason" not in krylov
+    for field in ("count=484", "path=dense", "reason: Krylov dimension 969 would pass dim/2"):
+        assert field in dense
