@@ -32,17 +32,31 @@ from .states import cat_state, density_from_pure, wigner_function
 __all__ = ["main"]
 
 
-def _write_table(path: str, fmt: str, config: dict, columns: list, rows) -> None:
+# rows per json.dumps call: C-encoder speed with a bounded temporary
+_JSON_CHUNK_ROWS = 4096
+
+
+def _write_table(path: str, fmt: str, config: dict, header: list, columns: list) -> None:
+    """Write equal-length columns of ints and floats as a csv or json table.
+
+    The bytes are those that csv.writer (default dialect) and json.dump write
+    for the same rows, but every value is formatted in C: csv fields by str,
+    json rows by json.dumps, whose C encoder json.dump never uses. json rows
+    go out in chunks, so no encoding of the whole table is held at once.
+    """
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows(rows)
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(",".join(fields) + "\r\n" for fields in zip(*(map(str, c) for c in columns)))
     else:
         with open(path, "w") as fh:
-            json.dump({"config": config, "columns": columns, "rows": [list(r) for r in rows]}, fh)
-            fh.write("\n")
+            head = json.dumps({"config": config, "columns": header, "rows": []})
+            fh.write(head[:-2])  # drop the ']}' that closes the empty rows list
+            for i in range(0, len(columns[0]), _JSON_CHUNK_ROWS):
+                rows = json.dumps(list(zip(*(c[i : i + _JSON_CHUNK_ROWS] for c in columns))))
+                fh.write(rows[1:-1] if i == 0 else ", " + rows[1:-1])
+            fh.write("]}\n")
 
 
 def _read_table(path: str) -> tuple[list, list]:
@@ -83,10 +97,10 @@ def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("func", "out", "format", "config")}
 
 
-def _grid_rows(*grids):
-    """(jq, jp, *values) rows over equally shaped 2-D grids, row-major, as Python scalars."""
+def _grid_columns(*grids) -> list:
+    """jq, jp and one column per grid over equally shaped 2-D grids, row-major, as Python scalars."""
     index = np.indices(grids[0].shape).reshape(2, -1)
-    return zip(*index.tolist(), *(g.ravel().tolist() for g in grids))
+    return [*index.tolist(), *(g.ravel().tolist() for g in grids)]
 
 
 def _parse_centers(raw: str):
@@ -100,7 +114,7 @@ def cmd_channel_spectrum(args) -> None:
     geom = TorusGeometry(args.n)
     ch = _build_channel(args, geom)
     vals = channel_spectrum(ch).values
-    _write_table(args.out, args.format, _config(args), ["q", "p", "re", "im"], _grid_rows(vals.real, vals.imag))
+    _write_table(args.out, args.format, _config(args), ["q", "p", "re", "im"], _grid_columns(vals.real, vals.imag))
 
 
 def cmd_evolve(args) -> None:
@@ -110,14 +124,14 @@ def cmd_evolve(args) -> None:
     rho = density_from_pure(cat_state(geom, c1, c2))
     w_in = wigner_function(rho)
     w_out = wigner_function(apply_channel(ch, rho))
-    _write_table(args.out, args.format, _config(args), ["jq", "jp", "w_in", "w_out"], _grid_rows(w_in, w_out))
+    _write_table(args.out, args.format, _config(args), ["jq", "jp", "w_in", "w_out"], _grid_columns(w_in, w_out))
 
 
 def cmd_wigner(args) -> None:
     geom = TorusGeometry(args.n)
     c1, c2 = _parse_centers(args.centers)
     w = wigner_function(density_from_pure(cat_state(geom, c1, c2)))
-    _write_table(args.out, args.format, _config(args), ["jq", "jp", "w"], _grid_rows(w))
+    _write_table(args.out, args.format, _config(args), ["jq", "jp", "w"], _grid_columns(w))
 
 
 def cmd_propagator_spectrum(args) -> None:
@@ -132,12 +146,13 @@ def cmd_propagator_spectrum(args) -> None:
     tp = build_noisy_propagator(make_gaussian(geom, args.sigma), u, args.a_coeff)
     count = args.count if args.count else tp.dim
     spec = leading_spectrum(tp, count)
+    # Python abs(z) per value: np.abs on the array differs from it in the last digit
     rows = [
         (z.real, z.imag, abs(z), float(np.angle(z)), float(-np.log(abs(z))) if abs(z) > 0 else float("inf"))
         for z in spec.eigenvalues
     ]
-    columns = ["re", "im", "modulus", "phase", "neg_log_modulus"]
-    _write_table(args.out, args.format, _config(args) | {"dim": tp.dim}, columns, rows)
+    header = ["re", "im", "modulus", "phase", "neg_log_modulus"]
+    _write_table(args.out, args.format, _config(args) | {"dim": tp.dim}, header, list(zip(*rows)))
 
 
 def cmd_stability(args) -> None:
@@ -212,7 +227,10 @@ def _expand_config(argv: list) -> list:
     """Splice '--config file.json' into flags right after the subcommand.
 
     Values from the file come first, so flags typed on the command line
-    override them. Keys may be flag names or argparse dests ('a_coeff').
+    override them. Keys may be flag names or argparse dests ('a_coeff'), and
+    a list gives one argument per element. An output's own header replays:
+    its 'command' must name the subcommand being run, and its 'dim' (an
+    output, not a flag) and null values (flags left unset) are skipped.
     """
     if "--config" not in argv:
         return argv
@@ -221,10 +239,18 @@ def _expand_config(argv: list) -> list:
         raise ValueError("--config needs a file path")
     with open(argv[i + 1]) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"--config {argv[i + 1]} must hold a json object of flags")
     rest = argv[:i] + argv[i + 2 :]
+    if "command" in doc and rest[:1] != [doc["command"]]:
+        raise ValueError(f"--config {argv[i + 1]} is for {doc['command']!r}, not {' '.join(rest[:1])!r}")
     extra = []
-    for key in sorted(doc):
-        extra += [f"--{key.replace('_', '-')}", str(doc[key])]
+    for key in sorted(doc.keys() - {"command", "dim"}):
+        flag, value = "--" + key.replace("_", "-"), doc[key]
+        if isinstance(value, list):
+            extra += [flag, *map(str, value)]
+        elif value is not None:
+            extra.append(f"{flag}={value}")  # one token, so a value may start with '-'
     return rest[:1] + extra + rest[1:]
 
 

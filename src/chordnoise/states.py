@@ -88,8 +88,12 @@ def wigner_overlap(w1: np.ndarray, w2: np.ndarray) -> float:
 
     With the 1/2N point-operator normalization the full-grid product
     satisfies N * sum_x W1(x) W2(x) = Tr(rho1 rho2); the constant N is pinned
-    by the overlap test against hs_inner.
+    by the overlap test against hs_inner. Both tables must be (2N, 2N) with
+    N >= 2, as wigner_function returns them.
     """
     if w1.shape != w2.shape:
         raise ValueError(f"Wigner grids of shapes {w1.shape} and {w2.shape} live on different tori")
-    return w1.shape[0] // 2 * float(np.sum(w1 * w2))
+    side = w1.shape[0] if w1.ndim == 2 else 0
+    if w1.shape != (side, side) or side % 2 or side < 4:
+        raise ValueError(f"a Wigner grid is (2N, 2N) with N >= 2, got shape {w1.shape}")
+    return side // 2 * float(np.sum(w1 * w2))

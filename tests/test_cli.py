@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,15 +13,22 @@ from numpy.testing import assert_allclose
 
 import chordnoise.cli
 from chordnoise import (
+    LinearMapSpec,
     TorusGeometry,
+    apply_channel,
+    build_noisy_propagator,
     cat_state,
     channel_spectrum,
     density_from_pure,
+    leading_spectrum,
     line_points,
+    make_gaussian,
     make_phase_damping_line,
+    nonlinear_kick,
+    quantize_linear_map,
     wigner_function,
 )
-from chordnoise.cli import main
+from chordnoise.cli import _write_table, main
 
 
 def _read_csv(path):
@@ -248,3 +259,177 @@ def test_output_is_deterministic(tmp_path):
     assert main(args + [str(a)]) == 0
     assert main(args + [str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _reference_table(path, fmt, config, header, rows):
+    """The cli writer as it was: csv.writer and json.dump over row tuples."""
+    if fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    else:
+        with open(path, "w") as fh:
+            json.dump({"config": config, "columns": header, "rows": [list(r) for r in rows]}, fh)
+            fh.write("\n")
+
+
+def _header_config(path):
+    text = path.read_text()
+    if text.startswith("{"):
+        return json.loads(text)["config"]
+    return json.loads(text.splitlines()[0][len("# config: ") :])
+
+
+def _cells(*grids):
+    return [(i, j, *(float(g[i, j]) for g in grids)) for i in range(grids[0].shape[0]) for j in range(grids[0].shape[1])]
+
+
+def _cat(n):
+    return density_from_pure(cat_state(TorusGeometry(n), (0.4, 0.25), (0.6, 0.75)))
+
+
+def _eigen_rows(n, sigma, a):
+    g = TorusGeometry(n)
+    u = quantize_linear_map(g, LinearMapSpec(1, 1, 1, 2)) @ nonlinear_kick(g, 0.02)
+    tp = build_noisy_propagator(make_gaussian(g, sigma), u, a)
+    return [
+        (z.real, z.imag, abs(z), float(np.angle(z)), float(-np.log(abs(z))) if abs(z) > 0 else float("inf"))
+        for z in leading_spectrum(tp, tp.dim).eigenvalues
+    ]
+
+
+def _spectrum_cells(ch):
+    vals = channel_spectrum(ch).values
+    return _cells(vals.real, vals.imag)
+
+
+# name: (argv, header, rows from the library arrays)
+_WRITER_CASES = {
+    # 4,096 rows end exactly on a json chunk; 4,356 end part-way through one
+    "wigner-32": (["wigner", "--n", "32"], ["jq", "jp", "w"], lambda: _cells(wigner_function(_cat(32)))),
+    "wigner-33": (["wigner", "--n", "33"], ["jq", "jp", "w"], lambda: _cells(wigner_function(_cat(33)))),
+    "evolve": (
+        ["evolve", "--n", "17", "--family", "gaussian", "--sigma", "0.2"],
+        ["jq", "jp", "w_in", "w_out"],
+        lambda: _cells(
+            wigner_function(_cat(17)),
+            wigner_function(apply_channel(make_gaussian(TorusGeometry(17), 0.2), _cat(17))),
+        ),
+    ),
+    "channel-spectrum": (
+        ["channel-spectrum", "--n", "8", "--family", "pdc-line", "--line", "1,2,1", "--epsilon", "0.3"],
+        ["q", "p", "re", "im"],
+        lambda: _spectrum_cells(
+            make_phase_damping_line(TorusGeometry(8), line_points(TorusGeometry(8), 1, 2, 1), 0.3)
+        ),
+    ),
+    # np.float64 values; np.abs would differ from abs(z) in 4 of these 16 moduli
+    "propagator-spectrum": (
+        ["propagator-spectrum", "--n", "20", "--sigma", "0.3", "--a-coeff", "4.0"],
+        ["re", "im", "modulus", "phase", "neg_log_modulus"],
+        lambda: _eigen_rows(20, 0.3, 4.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(_WRITER_CASES))
+def test_writer_bytes_match_csv_writer_and_json_dump(tmp_path, case, fmt):
+    argv, header, rows = _WRITER_CASES[case]
+    out, ref = tmp_path / f"cli.{fmt}", tmp_path / f"ref.{fmt}"
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    _reference_table(ref, fmt, _header_config(out), header, rows())
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table_non_finite_and_short_tables(tmp_path, fmt):
+    inf, nan = float("inf"), float("nan")
+    header = ["i", "a", "b"]
+    for columns in (
+        [[0, 1, 2], [inf, nan, -inf], [1.5, np.float64(-2.25), np.float64(nan)]],
+        [[7], [nan], [-inf]],  # one row
+        [[], [], []],  # no rows
+    ):
+        out, ref = tmp_path / f"t.{fmt}", tmp_path / f"r.{fmt}"
+        _write_table(str(out), fmt, {"command": "x", "line": None}, header, columns)
+        _reference_table(ref, fmt, {"command": "x", "line": None}, header, list(zip(*columns)))
+        assert out.read_bytes() == ref.read_bytes(), columns
+    out = tmp_path / f"t.{fmt}"
+    _write_table(str(out), fmt, {}, header, [[0], [inf], [nan]])
+    text = out.read_bytes().decode()
+    assert text.endswith("0,inf,nan\r\n" if fmt == "csv" else '"rows": [[0, Infinity, NaN]]}\n'), text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_memory_stays_below_file_size(tmp_path, fmt):
+    # the table is streamed: neither json.dump (pure Python) nor one json.dumps of the
+    # whole document, both of which peaked at about three times the file size
+    n = 65536
+    columns = [list(range(n)), [j % 256 for j in range(n)], np.random.default_rng(3).normal(size=n).tolist()]
+    out = tmp_path / f"big.{fmt}"
+    tracemalloc.start()
+    try:
+        _write_table(str(out), fmt, {"n": n}, ["jq", "jp", "w"], columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size, (peak, out.stat().st_size)
+
+
+_REPLAY_CASES = {
+    "channel-spectrum": ["channel-spectrum", "--n", "8", "--family", "pdc-line", "--line", "1,2,1", "--epsilon", "0.3"],
+    "channel-spectrum-gaussian": ["channel-spectrum", "--n", "8", "--family", "gaussian", "--sigma", "0.4"],
+    "evolve": ["evolve", "--n", "12", "--family", "depolarizing", "--epsilon", "0.7", "--centers", "0.1,0.2,0.7,0.6"],
+    # a value that starts with '-' must reach argparse as part of its flag
+    "wigner": ["wigner", "--n", "9", "--centers=-0.7,0.35,0.65,0.7"],
+    "propagator-spectrum": ["propagator-spectrum", "--n", "20", "--sigma", "0.3", "--k", "-0.05", "--a-coeff", "4.0",
+                            "--count", "3"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(_REPLAY_CASES))
+def test_header_replays_through_config(tmp_path, case, fmt):
+    first, again, cfg = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}", tmp_path / "header.json"
+    argv = _REPLAY_CASES[case]
+    assert main(argv + ["--format", fmt, "--out", str(first)]) == 0
+    cfg.write_text(json.dumps(_header_config(first)))
+    assert main([argv[0], "--config", str(cfg), "--format", fmt, "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_config_command_must_match(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"command": "wigner", "n": 8}))
+    with pytest.raises(ValueError, match="'wigner', not 'evolve'"):
+        chordnoise.cli._expand_config(["evolve", "--config", str(cfg)])
+    assert main(["evolve", "--config", str(cfg), "--family", "depolarizing", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "error: --config" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_lists_give_one_argument_per_element(tmp_path, capsys):
+    small = ["propagator-spectrum", "--n", "20", "--sigma", "0.3", "--a-coeff", "4.0"]
+    f1, f2 = tmp_path / "a.csv", tmp_path / "b.json"
+    assert main(small + ["--out", str(f1)]) == 0
+    assert main(small + ["--format", "json", "--out", str(f2)]) == 0
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"inputs": [str(f1), str(f2)], "count": 5}))
+    assert main(["stability", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("max deviation over top 5: 0.0")
+    assert chordnoise.cli._expand_config(["stability", "--config", str(cfg), "--count", "3"]) == [
+        "stability", "--count=5", "--inputs", str(f1), str(f2), "--count", "3"
+    ]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(chordnoise.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordnoise", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: chordnoise")

@@ -160,6 +160,15 @@ def test_wigner_overlap_geometry_mismatch():
         wigner_overlap(w5, w6)
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (2, 2), (5, 5), (16,), (4, 4, 4), (0, 0)])
+def test_wigner_overlap_requires_a_2n_square_grid(shape):
+    # (3, 5) used to read N = 1 and return 15.0 for two tables of ones
+    with pytest.raises(ValueError, match=r"\(2N, 2N\)"):
+        wigner_overlap(np.ones(shape), np.ones(shape))
+    w = wigner_function(np.eye(2) / 2)
+    assert wigner_overlap(w, w) == pytest.approx(0.5)  # smallest torus: Tr(rho^2) of I/2
+
+
 def test_coherent_wigner_blob_location():
     g = TorusGeometry(32)
     w = wigner_function(density_from_pure(coherent_state(g, 0.4, 0.25)))
