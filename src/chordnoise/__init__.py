@@ -9,7 +9,6 @@ check these against live in `chordnoise.oracles`.
 
 from .phasespace import (
     TorusGeometry,
-    PhasePoint,
     translation_operator,
     composition_phase,
     wedge,
@@ -27,7 +26,6 @@ from .states import (
 from .channels import (
     DiagonalChordChannel,
     ChannelSpectrum,
-    PhaseSpaceLine,
     make_depolarizing,
     line_points,
     make_phase_damping_line,

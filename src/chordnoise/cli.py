@@ -19,7 +19,6 @@ import numpy as np
 from .channels import (
     apply_channel,
     channel_spectrum,
-    line_points,
     make_depolarizing,
     make_gaussian,
     make_phase_damping_line,
@@ -86,7 +85,7 @@ def _build_channel(args, geom: TorusGeometry):
             n1, n2, n3 = (int(x) for x in args.line.split(","))
         except ValueError:
             raise ValueError(f"--line must be three comma-separated integers, got {args.line!r}") from None
-        return make_phase_damping_line(geom, line_points(geom, n1, n2, n3), args.epsilon)
+        return make_phase_damping_line(geom, (n1, n2, n3), args.epsilon)
     if args.sigma is None:
         raise ValueError("--sigma is required for --family gaussian")
     return make_gaussian(geom, args.sigma)
@@ -164,7 +163,7 @@ def cmd_stability(args) -> None:
         except ValueError:
             raise ValueError(f"{path} has no re/im columns") from None
         vals = sort_by_modulus(np.array([r[ire] + 1j * r[iim] for r in rows]))
-        specs.append(SpectrumResult(eigenvalues=vals, dim_used=len(vals)))
+        specs.append(SpectrumResult(vals))
     dev = stability_report(specs[0], specs[1], args.count)
     print(f"max deviation over top {args.count}: {dev:.6e}")
 
@@ -224,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _expand_config(argv: list) -> list:
-    """Splice '--config file.json' into flags right after the subcommand.
+    """Splice '--config file.json' (or '--config=file.json') into flags right after the subcommand.
 
     Values from the file come first, so flags typed on the command line
     override them. Keys may be flag names or argparse dests ('a_coeff'), and
@@ -232,6 +231,7 @@ def _expand_config(argv: list) -> list:
     its 'command' must name the subcommand being run, and its 'dim' (an
     output, not a flag) and null values (flags left unset) are skipped.
     """
+    argv = [t for tok in argv for t in (tok.split("=", 1) if tok.startswith("--config=") else [tok])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import PhasePoint, TorusGeometry, _translation_action
+from .phasespace import TorusGeometry, _translation_action
 
 __all__ = [
     "LinearMapSpec",
@@ -39,10 +39,10 @@ class LinearMapSpec:
         if det != 1:
             raise ValueError(f"map determinant must be 1, got {det}")
 
-    def apply(self, alpha, n: int) -> PhasePoint:
-        """Image of a grid point under the map, reduced mod N."""
+    def apply(self, alpha, n: int) -> tuple[int, int]:
+        """Image (q, p) of a grid point under the map, reduced mod N."""
         q, p = alpha
-        return PhasePoint((self.a * q + self.b * p) % n, (self.c * q + self.d * p) % n)
+        return ((self.a * q + self.b * p) % n, (self.c * q + self.d * p) % n)
 
 
 def _covariance_residual(geom: TorusGeometry, u: np.ndarray, m: LinearMapSpec, alpha) -> float:

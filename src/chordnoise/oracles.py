@@ -1,11 +1,12 @@
 """Slow reference implementations that the tests hold the fast paths against.
 
-Nothing in the library calls these. Each one rebuilds a result the hard
-way: channels as explicit Kraus sums or dense N^2 x N^2 superoperators, the
-depolarizing channel from the SU(N) generator basis, the unitary chord
-supermatrix in full, and the Wigner phase-point operators one by one. Every
-explicit N^2 x N^2 matrix, here or in the spectral module's untruncated
-build, is limited by the one size cap ORACLE_N_CAP.
+Each one rebuilds a result the hard way: channels as explicit Kraus sums or
+dense N^2 x N^2 superoperators, the depolarizing channel from the SU(N)
+generator basis, the unitary chord supermatrix in full, and the Wigner
+phase-point operators one by one. The library calls none of them; it shares
+only the size check: every explicit N^2 x N^2 matrix, here or in the
+spectral module's untruncated build, is limited by the one cap ORACLE_N_CAP
+through check_oracle_scale.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import DiagonalChordChannel
-from .phasespace import PhasePoint, TorusGeometry, chord_transform, translation_operator
+from .phasespace import TorusGeometry, chord_transform, translation_operator
 
 __all__ = [
     "ORACLE_N_CAP",
@@ -39,7 +40,7 @@ def check_oracle_scale(n: int, what: str) -> None:
         raise ValueError(f"{what} is capped at N={ORACLE_N_CAP}, got N={n}")
 
 
-def line_shift(geom: TorusGeometry, n1: int, n2: int, n3: int) -> PhasePoint:
+def line_shift(geom: TorusGeometry, n1: int, n2: int, n3: int) -> tuple[int, int]:
     """Translation splitting the line channel off its through-origin part.
 
     The averaging over n1*p = n2*q + n3 equals averaging over the n3 = 0 line
@@ -49,11 +50,11 @@ def line_shift(geom: TorusGeometry, n1: int, n2: int, n3: int) -> PhasePoint:
     """
     n = geom.n
     try:
-        return PhasePoint(0, (n3 * pow(n1, -1, n)) % n)
+        return 0, (n3 * pow(n1, -1, n)) % n
     except ValueError:
         pass
     try:
-        return PhasePoint((-n3 * pow(n2, -1, n)) % n, 0)
+        return (-n3 * pow(n2, -1, n)) % n, 0
     except ValueError:
         raise ValueError(
             f"neither n1={n1} nor n2={n2} is invertible mod {n}; no shift decomposition"

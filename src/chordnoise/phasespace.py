@@ -28,13 +28,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
     "TorusGeometry",
-    "PhasePoint",
     "translation_operator",
     "composition_phase",
     "wedge",
@@ -58,13 +55,6 @@ class TorusGeometry:
     def hbar_eff(self) -> float:
         """Effective Planck constant, 1/(2*pi*N)."""
         return 1.0 / (2.0 * np.pi * self.n)
-
-
-class PhasePoint(NamedTuple):
-    """A grid point (q, p); canonical representatives have 0 <= q, p < N."""
-
-    q: int
-    p: int
 
 
 def translation_operator(geom: TorusGeometry, alpha) -> np.ndarray:

@@ -78,7 +78,6 @@ class SpectrumResult:
     """Eigenvalues sorted by descending modulus (ties by ascending phase)."""
 
     eigenvalues: np.ndarray
-    dim_used: int
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
@@ -226,7 +225,7 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
         tp.dim, count, "krylov" if reason is None else "dense", m, worst,
         "" if reason is None else f" reason: {reason}",
     )
-    return SpectrumResult(eigenvalues=vals, dim_used=tp.dim)
+    return SpectrumResult(vals)
 
 
 def stability_report(s1: SpectrumResult, s2: SpectrumResult, count: int) -> float:

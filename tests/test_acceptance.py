@@ -17,7 +17,6 @@ from numpy.testing import assert_allclose
 from chordnoise import (
     DiagonalChordChannel,
     LinearMapSpec,
-    PhasePoint,
     TorusGeometry,
     apply_channel,
     build_noisy_propagator,
@@ -36,7 +35,6 @@ from chordnoise import (
     translation_operator,
     wigner_function,
 )
-from chordnoise.channels import line_points
 from chordnoise.spectral import SpectrumResult
 from chordnoise.oracles import (
     apply_channel_kraus,
@@ -65,13 +63,13 @@ def test_criterion_01_group_law_exhaustive():
         start = time.monotonic()
         g = TorusGeometry(8)
         ops = {
-            (q, p): translation_operator(g, PhasePoint(q, p)) for q in range(8) for p in range(8)
+            (q, p): translation_operator(g, (q, p)) for q in range(8) for p in range(8)
         }
         worst = 0.0
         for a1, t1 in ops.items():
             for a2, t2 in ops.items():
                 reduced = ((a1[0] + a2[0]) % 8, (a1[1] + a2[1]) % 8)
-                phase = composition_phase(g, PhasePoint(*a1), PhasePoint(*a2))
+                phase = composition_phase(g, a1, a2)
                 worst = max(worst, np.abs(t1 @ t2 - phase * ops[reduced]).max())
         elapsed = time.monotonic() - start
         assert worst < 1e-12, worst
@@ -90,7 +88,7 @@ def test_criterion_02_chords_are_eigenoperators():
             vals = channel_spectrum(ch).values
             for q in range(8):
                 for p in range(8):
-                    t = translation_operator(g, PhasePoint(q, p))
+                    t = translation_operator(g, (q, p))
                     dev = np.abs(apply_channel_kraus(ch, t) - vals[q, p] * t).max()
                     worst = max(worst, dev)
         assert worst < 1e-10, worst
@@ -119,7 +117,7 @@ def test_criterion_05_phase_damping_spectra():
     with _verdict(5, "line-channel spectra, N=32"):
         g = TorusGeometry(32)
         eps = 0.5
-        ch = make_phase_damping_line(g, line_points(g, 1, 2, 2), eps)
+        ch = make_phase_damping_line(g, (1, 2, 2), eps)
         vals = channel_spectrum(ch).values
         flat = vals.ravel()
         at_base = np.abs(flat - (1 - eps)) < 1e-12
@@ -140,7 +138,7 @@ def test_criterion_05_phase_damping_spectra():
 
         # horizontal-line discrepancy: the figure annotation suggests N unit
         # eigenvalues, the oracle gives exactly two; the oracle is binding
-        ch102 = make_phase_damping_line(g, line_points(g, 1, 0, 2), eps)
+        ch102 = make_phase_damping_line(g, (1, 0, 2), eps)
         unit_count = int((np.abs(channel_spectrum(ch102).values.ravel() - 1.0) < 1e-12).sum())
         print(f"criterion 05 note: line (1,0,2) has {unit_count} unit eigenvalues (not N=32)")
         assert unit_count == 2
@@ -150,7 +148,7 @@ def test_criterion_06_one_qubit_dephasing():
     with _verdict(6, "one-qubit dephasing decay"):
         g = TorusGeometry(2)
         eps = 0.3
-        ch = make_phase_damping_line(g, line_points(g, 0, 1, 0), eps)
+        ch = make_phase_damping_line(g, (0, 1, 0), eps)
         rho0 = np.array([[0.55, 0.21 - 0.13j], [0.21 + 0.13j, 0.45]])
         rho = rho0.copy()
         for n in range(1, 11):
@@ -167,7 +165,7 @@ def test_criterion_07_fast_path_matches_kraus():
         rng = np.random.default_rng(7)
         families = [
             make_depolarizing(g, 0.3),
-            make_phase_damping_line(g, line_points(g, 1, 2, 2), 0.55),
+            make_phase_damping_line(g, (1, 2, 2), 0.55),
             make_gaussian(g, 0.25),
         ]
         worst = 0.0
@@ -188,8 +186,8 @@ def test_criterion_08_cat_covariance():
         worst = 0.0
         for q in range(10):
             for p in range(10):
-                t = translation_operator(g, PhasePoint(q, p))
-                target = translation_operator(g, CAT.apply(PhasePoint(q, p), 10))
+                t = translation_operator(g, (q, p))
+                target = translation_operator(g, CAT.apply((q, p), 10))
                 lhs = u @ t @ u.conj().T
                 phase = np.trace(target.conj().T @ lhs) / 10
                 worst = max(worst, np.abs(lhs - phase * target).max())
@@ -241,8 +239,8 @@ def test_criterion_11_full_vs_truncated():
         full_mat = channel_spectrum(ch).values.ravel()[:, None] * chord_supermatrix(g, u)
         assert np.abs(tp.matrix - full_mat).max() < 1e-14
         # near-equal moduli may sort in either order, so pair greedily over all 100
-        truncated = SpectrumResult(sort_by_modulus(np.linalg.eigvals(tp.matrix)), 100)
-        full = SpectrumResult(sort_by_modulus(np.linalg.eigvals(full_mat)), 100)
+        truncated = SpectrumResult(sort_by_modulus(np.linalg.eigvals(tp.matrix)))
+        full = SpectrumResult(sort_by_modulus(np.linalg.eigvals(full_mat)))
         assert stability_report(truncated, full, 100) < 1e-9
 
 

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from chordnoise import (
     DiagonalChordChannel,
-    PhasePoint,
     TorusGeometry,
     apply_channel,
     channel_spectrum,
@@ -37,7 +36,7 @@ def _random_density(rng, n):
 def _families(geom):
     return {
         "depolarizing": make_depolarizing(geom, 0.3),
-        "pdc-line": make_phase_damping_line(geom, line_points(geom, 1, 2, 2), 0.55),
+        "pdc-line": make_phase_damping_line(geom, (1, 2, 2), 0.55),
         "gaussian": make_gaussian(geom, 0.25),
     }
 
@@ -77,16 +76,16 @@ def test_depolarizing_spectrum():
 def test_line_points_examples():
     g32 = TorusGeometry(32)
     anti = line_points(g32, 1, -1, 0)
-    assert anti.r == 32
-    assert all((q + p) % 32 == 0 for q, p in anti.points)
+    assert len(anti) == 32
+    assert all((q + p) % 32 == 0 for q, p in anti)
 
     horiz = line_points(g32, 1, 0, 2)
-    assert horiz.r == 32
-    assert all(p == 2 for _, p in horiz.points)
+    assert len(horiz) == 32
+    assert all(p == 2 for _, p in horiz)
 
     both_even = line_points(TorusGeometry(8), 2, 2, 0)
-    assert both_even.r == 16  # 2N when the direction is doubly even
-    assert all(p % 8 in (q % 8, (q + 4) % 8) for q, p in both_even.points)
+    assert len(both_even) == 16  # 2N when the direction is doubly even
+    assert all(p % 8 in (q % 8, (q + 4) % 8) for q, p in both_even)
 
 
 def test_line_errors():
@@ -100,11 +99,19 @@ def test_line_errors():
 def test_phase_damping_weights():
     g = TorusGeometry(8)
     line = line_points(g, 1, 1, 0)
-    ch = make_phase_damping_line(g, line, 0.4)
+    ch = make_phase_damping_line(g, (1, 1, 0), 0.4)
     assert ch.weights.sum() == pytest.approx(8.0)
-    for q, p in line.points:
-        assert ch.weights[q, p] == pytest.approx(8.0 / line.r)
-    assert np.count_nonzero(ch.weights) == line.r
+    for q, p in line:
+        assert ch.weights[q, p] == pytest.approx(8.0 / len(line))
+    assert np.count_nonzero(ch.weights) == len(line)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_line_channel_enumerates_its_own_torus(n):
+    # the channel takes the triple, so the line cannot come from another N
+    ch = make_phase_damping_line(TorusGeometry(n), (1, 1, 0), 0.5)
+    assert np.count_nonzero(ch.weights) == n
+    assert_allclose(ch.weights[np.arange(n), np.arange(n)], 1.0)
 
 
 def test_line_channel_spectrum_structure():
@@ -112,7 +119,7 @@ def test_line_channel_spectrum_structure():
     # from (1-eps); everything else sits exactly at (1-eps)
     g = TorusGeometry(32)
     eps = 0.5
-    ch = make_phase_damping_line(g, line_points(g, 1, 2, 2), eps)
+    ch = make_phase_damping_line(g, (1, 2, 2), eps)
     vals = channel_spectrum(ch).values.ravel()
     at_base = np.abs(vals - (1 - eps)) < 1e-12
     on_circle = np.abs(np.abs(vals - (1 - eps)) - eps) < 1e-12
@@ -125,7 +132,7 @@ def test_line_spectrum_closed_form_vs_oracle():
     # so the value multisets coincide as well
     g = TorusGeometry(32)
     for n1, n2, n3 in [(1, 2, 2), (1, 0, 2), (0, 1, 3)]:
-        ch = make_phase_damping_line(g, line_points(g, n1, n2, n3), 0.5)
+        ch = make_phase_damping_line(g, (n1, n2, n3), 0.5)
         oracle = channel_spectrum(ch).values
         formula = line_spectrum_closed_form(g, n1, n2, n3, 0.5)
         assert np.abs(formula - oracle).max() < 1e-12
@@ -140,7 +147,7 @@ def test_horizontal_line_unit_eigenvalue_count():
     # for the (1,0,2) line only the two chords with 2*mu = 0 mod N reach 1;
     # the remaining line chords stay strictly on the circle
     g = TorusGeometry(32)
-    ch = make_phase_damping_line(g, line_points(g, 1, 0, 2), 0.5)
+    ch = make_phase_damping_line(g, (1, 0, 2), 0.5)
     vals = channel_spectrum(ch).values.ravel()
     assert (np.abs(vals - 1.0) < 1e-12).sum() == 2
 
@@ -155,7 +162,7 @@ def test_one_qubit_translations_are_paulis():
 
 def test_one_qubit_phase_damping_decay():
     g = TorusGeometry(2)
-    ch = make_phase_damping_line(g, line_points(g, 0, 1, 0), 0.3)
+    ch = make_phase_damping_line(g, (0, 1, 0), 0.3)
     rho0 = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
     rho = rho0.copy()
     for n in range(1, 6):
@@ -196,6 +203,14 @@ def test_non_finite_noise_rejected(bad):
     w[0, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         DiagonalChordChannel(g, 0.5, w)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.1, np.nan, np.inf])
+def test_channel_rejects_bad_sigma(sigma):
+    # these once reached build_noisy_propagator and failed there three
+    # different ways: ZeroDivisionError, "keeps no modes", NaN to integer
+    with pytest.raises(ValueError, match="sigma must be None or finite and positive"):
+        DiagonalChordChannel(TorusGeometry(8), 1.0, np.full((8, 8), 1.0 / 8), sigma=sigma)
 
 
 def test_channel_copies_caller_weights():
@@ -290,7 +305,7 @@ def test_pointer_basis_of_vertical_line():
     # and every off-diagonal element contracts by exactly (1 - eps)
     g = TorusGeometry(8)
     eps = 0.45
-    ch = make_phase_damping_line(g, line_points(g, 0, 1, 0), eps)
+    ch = make_phase_damping_line(g, (0, 1, 0), eps)
     diag = np.diag(np.linspace(0.1, 0.3, 8) / np.linspace(0.1, 0.3, 8).sum())
     assert_allclose(apply_channel(ch, diag), diag, atol=1e-13)
     rho = _random_density(np.random.default_rng(2), 8)
@@ -306,8 +321,8 @@ def test_line_decomposition(n, coeffs):
     # the through-origin line
     n1, n2, n3 = coeffs
     g = TorusGeometry(n)
-    full = channel_superoperator_matrix(make_phase_damping_line(g, line_points(g, n1, n2, n3), 1.0))
-    base = channel_superoperator_matrix(make_phase_damping_line(g, line_points(g, n1, n2, 0), 1.0))
+    full = channel_superoperator_matrix(make_phase_damping_line(g, (n1, n2, n3), 1.0))
+    base = channel_superoperator_matrix(make_phase_damping_line(g, (n1, n2, 0), 1.0))
     shift = unitary_superoperator_matrix(translation_operator(g, line_shift(g, n1, n2, n3)))
     assert np.abs(full - base @ shift).max() < 1e-10
 

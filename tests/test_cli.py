@@ -21,7 +21,6 @@ from chordnoise import (
     channel_spectrum,
     density_from_pure,
     leading_spectrum,
-    line_points,
     make_gaussian,
     make_phase_damping_line,
     nonlinear_kick,
@@ -218,7 +217,7 @@ def test_text_format_pinned(tmp_path, fmt):
     assert np.array_equal(rows[:, 2], w.ravel())
 
     rows = table(["channel-spectrum", "--n", "8", "--family", "pdc-line", "--line", "1,2,1", "--epsilon", "0.3"])
-    vals = channel_spectrum(make_phase_damping_line(g, line_points(g, 1, 2, 1), 0.3)).values
+    vals = channel_spectrum(make_phase_damping_line(g, (1, 2, 1), 0.3)).values
     assert np.abs(vals.imag).max() > 0.1
     assert np.array_equal(rows[:, :2], np.indices(vals.shape).reshape(2, -1).T)
     assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], vals.ravel())
@@ -251,6 +250,22 @@ def test_config_file_with_override(tmp_path):
     assert rc == 0
     config, _, _ = _read_csv(out)
     assert config["a_coeff"] == 4.0 and config["dim"] == 16
+
+
+@pytest.mark.parametrize("one_token", [False, True])
+def test_config_flag_in_either_form(tmp_path, one_token):
+    cfg, a, b = tmp_path / "c.json", tmp_path / "a.csv", tmp_path / "b.csv"
+    flag = [f"--config={cfg}"] if one_token else ["--config", str(cfg)]
+
+    cfg.write_text(json.dumps({"n": 8, "family": "depolarizing", "epsilon": 0.4}))
+    assert main(["channel-spectrum", *flag, "--out", str(a)]) == 0
+    assert main(["channel-spectrum", "--n", "8", "--family", "depolarizing", "--epsilon", "0.4", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+    cfg.write_text(json.dumps({"centers": "0.3,0.2,0.7,0.8"}))
+    assert main(["wigner", *flag, "--n", "4", "--out", str(a)]) == 0
+    assert main(["wigner", "--n", "4", "--centers", "0.3,0.2,0.7,0.8", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_output_is_deterministic(tmp_path):
@@ -322,7 +337,7 @@ _WRITER_CASES = {
         ["channel-spectrum", "--n", "8", "--family", "pdc-line", "--line", "1,2,1", "--epsilon", "0.3"],
         ["q", "p", "re", "im"],
         lambda: _spectrum_cells(
-            make_phase_damping_line(TorusGeometry(8), line_points(TorusGeometry(8), 1, 2, 1), 0.3)
+            make_phase_damping_line(TorusGeometry(8), (1, 2, 1), 0.3)
         ),
     ),
     # np.float64 values; np.abs would differ from abs(z) in 4 of these 16 moduli

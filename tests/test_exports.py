@@ -1,0 +1,31 @@
+"""Each library module's __all__ names what it has, and the package re-exports exactly their union."""
+
+import importlib
+import types
+
+import pytest
+
+import chordnoise
+
+LIBRARY = ["phasespace", "states", "channels", "dynamics", "spectral"]
+
+
+def _module(name):
+    return importlib.import_module(f"chordnoise.{name}")
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_all_names_exist(name):
+    mod = _module(name)
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+
+def test_package_reexports_the_union():
+    union = set().union(*(_module(name).__all__ for name in LIBRARY))
+    public = {
+        n for n, v in vars(chordnoise).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)
+    }
+    assert public == union
+    for name in LIBRARY:
+        mod = _module(name)
+        assert all(getattr(chordnoise, n) is getattr(mod, n) for n in mod.__all__)

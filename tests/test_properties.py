@@ -1,5 +1,6 @@
 """Property tests over random inputs, N <= 12: the Wigner identities, the
-chord round trip, and the windowed propagator against the full supermatrix."""
+chord round trip, channels from random weight tables against their Kraus
+sums, and the windowed propagator against the full supermatrix."""
 
 import warnings
 
@@ -14,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from chordnoise import (
     DiagonalChordChannel,
     TorusGeometry,
+    apply_channel,
     build_noisy_propagator,
     channel_spectrum,
     chord_inverse,
@@ -21,7 +23,7 @@ from chordnoise import (
     wigner_function,
     wigner_overlap,
 )
-from chordnoise.oracles import chord_supermatrix
+from chordnoise.oracles import apply_channel_kraus, chord_supermatrix
 
 SMALL = settings(max_examples=30, deadline=None)
 _ENTRY = st.floats(-1.0, 1.0, allow_nan=False)
@@ -69,6 +71,27 @@ def test_wigner_overlap_is_hs_inner(pair):
 def test_chord_round_trip(a):
     geom = TorusGeometry(a.shape[0])
     assert np.abs(chord_inverse(chord_transform(a, geom)) - a).max() < 1e-12
+
+
+@st.composite
+def channels_and_operators(draw):
+    """A channel from a random weight table (zeros included) with eps in [0, 1], and an operator."""
+    n = draw(st.integers(2, 12))
+    w = draw(arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)))
+    assume(w.sum() > 1e-3)
+    ch = DiagonalChordChannel(TorusGeometry(n), draw(st.floats(0.0, 1.0)), w * n / w.sum())
+    return ch, draw(complex_matrices(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(channels_and_operators())
+def test_channel_is_its_kraus_sum_and_unital(case):
+    ch, a = case
+    n = ch.geometry.n
+    out = apply_channel(ch, a)
+    assert np.abs(out - apply_channel_kraus(ch, a)).max() < 1e-12
+    assert abs(np.trace(out) - np.trace(a)) < 1e-12
+    assert np.abs(apply_channel(ch, np.eye(n)) - np.eye(n)).max() < 1e-12
 
 
 SIGMA = 0.1

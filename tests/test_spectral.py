@@ -118,7 +118,6 @@ def test_leading_spectrum_count_validation():
     with pytest.raises(ValueError, match="requested"):
         leading_spectrum(tp, tp.dim + 1)
     res = leading_spectrum(tp, 3)
-    assert res.dim_used == tp.dim
     assert len(res.eigenvalues) == 3
 
 
@@ -186,10 +185,10 @@ def test_noisy_spectrum_is_contractive():
 def test_stability_report_basics():
     from chordnoise.spectral import SpectrumResult
 
-    a = SpectrumResult(np.array([1.0 + 0j, 0.5 + 0.1j, -0.3j]), 9)
+    a = SpectrumResult(np.array([1.0 + 0j, 0.5 + 0.1j, -0.3j]))
     same = stability_report(a, a, 3)
     assert same == 0.0
-    b = SpectrumResult(np.array([1.0 + 0j, 0.4 + 0.1j, -0.3j]), 9)
+    b = SpectrumResult(np.array([1.0 + 0j, 0.4 + 0.1j, -0.3j]))
     assert stability_report(a, b, 3) == pytest.approx(0.1)
     with pytest.raises(ValueError, match="count"):
         stability_report(a, b, 5)
@@ -200,8 +199,8 @@ def test_stability_report_handles_near_degenerate_order():
 
     # two eigenvalues with equal modulus may come out in either order;
     # greedy nearest-unused pairing must not report their separation
-    a = SpectrumResult(np.array([np.exp(0.1j), np.exp(2.0j)]), 4)
-    b = SpectrumResult(np.array([np.exp(2.0j), np.exp(0.1j)]), 4)
+    a = SpectrumResult(np.array([np.exp(0.1j), np.exp(2.0j)]))
+    b = SpectrumResult(np.array([np.exp(2.0j), np.exp(0.1j)]))
     assert stability_report(a, b, 2) < 1e-15
 
 
