@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import TorusGeometry, chord_transform, chord_inverse
+from .phasespace import TorusGeometry, _integer, chord_transform, chord_inverse
 
 __all__ = [
     "DiagonalChordChannel",
@@ -91,6 +91,7 @@ def make_depolarizing(geom: TorusGeometry, epsilon: float) -> DiagonalChordChann
 
 def line_points(geom: TorusGeometry, n1: int, n2: int, n3: int) -> np.ndarray:
     """The r points of the line n1*p = n2*q + n3 (mod N) as (r, 2) rows of canonical (q, p)."""
+    n1, n2, n3 = (_integer(v, "line coefficient") for v in (n1, n2, n3))
     if (n1, n2) == (0, 0):
         raise ValueError("line direction (n1, n2) = (0, 0) does not define a line")
     n = geom.n

@@ -28,6 +28,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -41,6 +43,14 @@ __all__ = [
 ]
 
 
+def _integer(value, what: str) -> int:
+    """value as a Python int (numpy integers included), else ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TorusGeometry:
     """An N x N grid of phase-space points; N is also the Hilbert dimension."""
@@ -48,8 +58,10 @@ class TorusGeometry:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"phase-space dimension must be >= 2, got {self.n}")
+        n = _integer(self.n, "phase-space dimension")
+        if n < 2:
+            raise ValueError(f"phase-space dimension must be >= 2, got {n}")
+        object.__setattr__(self, "n", n)
 
     @property
     def hbar_eff(self) -> float:
@@ -64,22 +76,11 @@ def translation_operator(geom: TorusGeometry, alpha) -> np.ndarray:
     factors stated in the module docstring.
     """
     n = geom.n
-    rows, phases = _translation_action(geom, alpha)
-    t = np.zeros((n, n), dtype=complex)
-    t[rows, np.arange(n)] = phases
-    return t
-
-
-def _translation_action(geom: TorusGeometry, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """T_(q,p) as a phased permutation: T|n> = phases[n] |rows[n]>.
-
-    So (A T)[:, n] = phases[n] A[:, rows[n]] and (T A)[rows[n], :] =
-    phases[n] A[n, :], each O(N^2) with no N x N operator formed.
-    """
-    n = geom.n
     q, p = alpha
     cols = np.arange(n)
-    return (cols + q) % n, np.exp(2j * np.pi * p * (cols + q / 2.0) / n)
+    t = np.zeros((n, n), dtype=complex)
+    t[(cols + q) % n, cols] = np.exp(2j * np.pi * p * (cols + q / 2.0) / n)
+    return t
 
 
 def composition_phase(geom: TorusGeometry, a1, a2) -> complex:

@@ -1,5 +1,7 @@
 """Quantized torus maps and the chord-basis superoperator matrix."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,8 @@ from chordnoise import (
     LinearMapSpec,
     TorusGeometry,
     composition_phase,
+    line_points,
+    make_phase_damping_line,
     nonlinear_kick,
     quantize_linear_map,
     translation_operator,
@@ -23,6 +27,83 @@ def test_map_spec_validation():
         LinearMapSpec(1, 1, 1, 3)
     m = LinearMapSpec(2, 1, 3, 2)
     assert m.apply((3, 4), 10) == (0, 7)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LinearMapSpec(0.5, 1, -0.5, 1),  # det 1, but apply((1, 2), 4) would give (2.5, 1.5)
+        lambda: line_points(TorusGeometry(40), 1.5, 1, 0),
+        lambda: make_phase_damping_line(TorusGeometry(40), (1.5, 1, 0), 0.3),
+    ],
+)
+def test_non_integer_map_and_line_refused(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_integer_entries_may_be_numpy_ints():
+    m = LinearMapSpec(*np.array([2, 1, 3, 2]))
+    assert m == LinearMapSpec(2, 1, 3, 2) and type(m.a) is int
+    assert np.array_equal(line_points(TorusGeometry(8), *np.array([1, 1, 0])), line_points(TorusGeometry(8), 1, 1, 0))
+
+
+def _kernel(m, n):
+    """The two kernels as formulas, applied to any map; None where neither applies."""
+    k = np.arange(n)
+    if m.b != 0:
+        return np.exp(1j * np.pi * (m.a * k[None, :] ** 2 - 2 * np.outer(k, k) + m.d * k[:, None] ** 2) / (n * m.b)) / np.sqrt(n)
+    if (m.a, m.d) == (1, 1):
+        return np.diag(np.exp(1j * np.pi * m.c * k**2 / n))
+    return None
+
+
+def _is_covariant(g, u, m, alpha):
+    lhs = u @ translation_operator(g, alpha) @ u.conj().T
+    target = translation_operator(g, m.apply(alpha, g.n))
+    phase = np.vdot(target, lhs) / g.n
+    return np.abs(lhs - phase * target).max() < 1e-10
+
+
+def test_quantization_rule_matches_the_kernel():
+    # quantize_linear_map decides from (a, b, c, d, N) alone; here the kernels are
+    # measured instead: unitary, and covariant on the two generating translations
+    verdicts = []
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
+        if a * d - b * c != 1:
+            continue
+        m = LinearMapSpec(a, b, c, d)
+        for n in range(2, 26):
+            g = TorusGeometry(n)
+            u = _kernel(m, n)
+            works = (
+                u is not None
+                and np.abs(u @ u.conj().T - np.eye(n)).max() <= 1e-12
+                and all(_is_covariant(g, u, m, alpha) for alpha in ((1, 0), (0, 1)))
+            )
+            try:
+                got = quantize_linear_map(g, m)
+            except ValueError:
+                got = None
+            assert (got is not None) == works, (m, n)
+            if works:
+                assert_allclose(got, u, rtol=0, atol=1e-15)
+            verdicts.append(works)
+    assert (len(verdicts), sum(verdicts)) == (2784, 1032)
+
+
+@pytest.mark.parametrize(
+    "m, n, reason",
+    [
+        (CAT, 5, r"a\*N = 5 is odd"),
+        (LinearMapSpec(2, 1, 1, 1), 5, r"d\*N = 5 is odd"),
+        (LinearMapSpec(1, 0, 3, 1), 7, r"c\*N = 21 is odd"),
+        (LinearMapSpec(1, 2, 0, 1), 12, r"unitary only for \|b\| = 1"),
+    ],
+)
+def test_refusal_names_the_failing_condition(m, n, reason):
+    with pytest.raises(ValueError, match=reason):
+        quantize_linear_map(TorusGeometry(n), m)
 
 
 def test_identity_map_quantizes_to_identity():
@@ -60,23 +141,6 @@ def test_cat_map_covariance_full_grid():
             phase = np.trace(target.conj().T @ lhs) / 10
             worst = max(worst, np.abs(lhs - phase * target).max())
     assert worst < 1e-10
-
-
-def test_covariance_residual_is_the_frobenius_distance():
-    # ||U T - c T' U||_F equals ||U T U^dag - c T'||_F for unitary U, with
-    # c = Tr(T'^dag U T U^dag)/N; the kick breaks covariance, the cat map keeps it
-    from chordnoise.dynamics import _covariance_residual
-
-    g = TorusGeometry(12)
-    for u, covariant in ((quantize_linear_map(g, CAT), True), (quantize_linear_map(g, CAT) @ nonlinear_kick(g, 0.7), False)):
-        for alpha in ((1, 0), (3, 5), (5, 2)):  # q != 0, so the kick does not commute
-            lhs = u @ translation_operator(g, alpha) @ u.conj().T
-            target = translation_operator(g, CAT.apply(alpha, 12))
-            c = np.trace(target.conj().T @ lhs) / 12
-            dense = np.linalg.norm(lhs - c * target)
-            res = _covariance_residual(g, u, CAT, alpha)
-            assert res == pytest.approx(dense, rel=1e-9, abs=1e-13)
-            assert (res < 1e-10) == covariant
 
 
 def test_odd_dimension_rejected():

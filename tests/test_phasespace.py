@@ -10,6 +10,8 @@ from chordnoise import (
     chord_transform,
     composition_phase,
     hs_inner,
+    make_depolarizing,
+    make_gaussian,
     translation_operator,
     wedge,
 )
@@ -19,6 +21,19 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         TorusGeometry(1)
     assert TorusGeometry(7).hbar_eff == pytest.approx(1.0 / (14 * np.pi))
+
+
+@pytest.mark.parametrize("n", [10.0, 10.5, "10", None])
+def test_geometry_requires_integer_n(n):
+    with pytest.raises(ValueError, match="must be an integer"):
+        TorusGeometry(n)
+
+
+def test_geometry_takes_numpy_ints_as_int():
+    g = TorusGeometry(np.int64(10))
+    assert type(g.n) is int and g == TorusGeometry(10)
+    for ch in (make_gaussian(g, 0.3), make_depolarizing(g, 0.5)):
+        assert type(ch.geometry.n) is int and ch.weights.shape == (10, 10)
 
 
 def test_translations_unitary():

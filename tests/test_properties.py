@@ -1,6 +1,7 @@
 """Property tests over random inputs, N <= 12: the Wigner identities, the
 chord round trip, channels from random weight tables against their Kraus
-sums, and the windowed propagator against the full supermatrix."""
+sums, and the windowed propagator against the full supermatrix; and, for
+N <= 64, the quantized maps that the parity rule accepts."""
 
 import warnings
 
@@ -14,12 +15,15 @@ from hypothesis.extra.numpy import arrays
 
 from chordnoise import (
     DiagonalChordChannel,
+    LinearMapSpec,
     TorusGeometry,
     apply_channel,
     build_noisy_propagator,
     channel_spectrum,
     chord_inverse,
     chord_transform,
+    quantize_linear_map,
+    translation_operator,
     wigner_function,
     wigner_overlap,
 )
@@ -139,3 +143,31 @@ def test_smaller_window_is_submatrix(case):
     pos = {mode: i for i, mode in enumerate(map(tuple, large.kept_modes.tolist()))}
     idx = [pos[mode] for mode in map(tuple, small.kept_modes.tolist())]
     assert np.abs(small.matrix - large.matrix[np.ix_(idx, idx)]).max() < 1e-13
+
+
+@st.composite
+def accepted_maps(draw):
+    """N in 2..64 and a map quantize_linear_map accepts: |b| = 1 with a*N, d*N even, or a shear with c*N even."""
+    n = draw(st.integers(2, 64))
+    step = 1 if n % 2 == 0 else 2
+    if draw(st.booleans()):
+        b = draw(st.sampled_from([1, -1]))
+        a, d = (step * draw(st.integers(-3, 3)) for _ in range(2))
+        m = LinearMapSpec(a, b, (a * d - 1) * b, d)
+    else:
+        m = LinearMapSpec(1, 0, step * draw(st.integers(-3, 3)), 1)
+    labels = st.tuples(st.integers(-n, 2 * n), st.integers(-n, 2 * n))
+    return TorusGeometry(n), m, draw(st.lists(labels, min_size=3, max_size=3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(accepted_maps())
+def test_accepted_maps_are_unitary_and_covariant(case):
+    g, m, alphas = case
+    u = quantize_linear_map(g, m)
+    assert np.abs(u @ u.conj().T - np.eye(g.n)).max() <= 1e-12
+    for alpha in alphas:
+        lhs = u @ translation_operator(g, alpha) @ u.conj().T
+        target = translation_operator(g, m.apply(alpha, g.n))
+        phase = np.vdot(target, lhs) / g.n
+        assert np.abs(lhs - phase * target).max() < 1e-10
