@@ -43,8 +43,8 @@ class DiagonalChordChannel:
 
     weights is an (N, N) float table indexed [q, p]; the Kraus weight of
     T_(q,p) in the eps-part is weights[q, p]/N. sigma is set only by the
-    Gaussian constructor and marks the channel as truncation-capable; it is
-    None or finite and positive.
+    Gaussian constructor and sets the propagator window; it is None (no
+    window) or finite and positive.
     """
 
     geometry: TorusGeometry

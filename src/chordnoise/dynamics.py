@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .phasespace import TorusGeometry, _integer
+from .phasespace import TorusGeometry, _integer, _label
 
 __all__ = [
     "LinearMapSpec",
@@ -53,8 +53,8 @@ class LinearMapSpec:
             raise ValueError(f"map determinant must be 1, got {det}")
 
     def apply(self, alpha, n: int) -> tuple[int, int]:
-        """Image (q, p) of a grid point under the map, reduced mod N."""
-        q, p = alpha
+        """Image (q, p) of an integer grid point under the map, reduced mod N."""
+        q, p = _label(alpha)
         return ((self.a * q + self.b * p) % n, (self.c * q + self.d * p) % n)
 
 

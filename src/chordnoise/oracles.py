@@ -3,10 +3,9 @@
 Each one rebuilds a result the hard way: channels as explicit Kraus sums or
 dense N^2 x N^2 superoperators, the depolarizing channel from the SU(N)
 generator basis, the unitary chord supermatrix in full, and the Wigner
-phase-point operators one by one. The library calls none of them; it shares
-only the size check: every explicit N^2 x N^2 matrix, here or in the
-spectral module's untruncated build, is limited by the one cap ORACLE_N_CAP
-through check_oracle_scale.
+phase-point operators one by one. The library shares nothing with this
+module and never imports it. Every explicit N^2 x N^2 matrix built here is
+limited by the one cap ORACLE_N_CAP through check_oracle_scale.
 """
 
 from __future__ import annotations

@@ -51,6 +51,12 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _label(alpha) -> tuple[int, int]:
+    """A chord label (q, p) as two Python ints, else ValueError."""
+    q, p = alpha
+    return _integer(q, "chord label q"), _integer(p, "chord label p")
+
+
 @dataclass(frozen=True)
 class TorusGeometry:
     """An N x N grid of phase-space points; N is also the Hilbert dimension."""
@@ -72,11 +78,11 @@ class TorusGeometry:
 def translation_operator(geom: TorusGeometry, alpha) -> np.ndarray:
     """Matrix of T_(q,p) in the position basis.
 
-    Any integer labels are accepted; labels outside [0, N) produce the sign
-    factors stated in the module docstring.
+    Any integer labels are accepted, others raise ValueError; labels outside
+    [0, N) produce the sign factors stated in the module docstring.
     """
     n = geom.n
-    q, p = alpha
+    q, p = _label(alpha)
     cols = np.arange(n)
     t = np.zeros((n, n), dtype=complex)
     t[(cols + q) % n, cols] = np.exp(2j * np.pi * p * (cols + q / 2.0) / n)
@@ -91,8 +97,8 @@ def composition_phase(geom: TorusGeometry, a1, a2) -> complex:
     representative.
     """
     n = geom.n
-    q1, p1 = a1
-    q2, p2 = a2
+    q1, p1 = _label(a1)
+    q2, p2 = _label(a2)
     triangle = np.exp(1j * np.pi * (p1 * q2 - q1 * p2) / n)
     qs, ps = q1 + q2, p1 + p2
     qr, pr = qs % n, ps % n
@@ -104,8 +110,8 @@ def composition_phase(geom: TorusGeometry, a1, a2) -> complex:
 
 def wedge(lam, alpha) -> int:
     """Symplectic product mu*p - nu*q of lam = (mu, nu) against alpha = (q, p)."""
-    mu, nu = lam
-    q, p = alpha
+    mu, nu = _label(lam)
+    q, p = _label(alpha)
     return mu * p - nu * q
 
 

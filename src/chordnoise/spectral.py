@@ -5,9 +5,9 @@ L[lam', lam] = Sigma(lam') * (1/N) Tr[T_lam'^dag U T_lam U^dag]. A Gaussian
 channel suppresses every chord outside a square window of half-width
 a/(2*pi*sigma) in centered coordinates, so the leading spectrum of the full
 N^2-dimensional L survives restriction to the window. Kept offsets per axis
-are the integers in [-W, W) with W = floor(a/(2*pi*sigma)), the same
-half-open convention as the centered representatives themselves; the window
-dimension is then exactly 4 W^2.
+are the centered labels in [-W, W), W = floor(a/(2*pi*sigma)), clipped to the
+grid's centered range [-N/2, N/2): the window dimension is min(4 W^2, N^2),
+and a window that covers the grid is built the same way, clipped to it.
 
 Each T_lam has one nonzero per column, so for canonical labels
 lam' = (q', p'), lam = (q, p) the trace is a bilinear form in U's entries:
@@ -21,14 +21,12 @@ with the dense eigensolver as fallback (see leading_spectrum).
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import DiagonalChordChannel, channel_spectrum
-from .oracles import check_oracle_scale
-from .phasespace import TorusGeometry
+from .phasespace import TorusGeometry, _integer
 
 __all__ = [
     "TruncatedPropagator",
@@ -47,12 +45,12 @@ _EPS = np.finfo(float).eps
 class TruncatedPropagator:
     """The windowed propagator matrix over kept_modes.
 
-    kept_modes is a (dim, 2) integer array of canonical chord labels (q, p),
-    q-major, in the order of the matrix rows and columns.
+    kept_modes is a read-only (dim, 2) integer array of canonical chord labels
+    (q, p) in matrix order: q-major, each axis in centered order, lowest first.
     """
 
     geometry: TorusGeometry
-    sigma: float | None
+    sigma: float
     a_coeff: float
     kept_modes: np.ndarray
     matrix: np.ndarray
@@ -61,6 +59,7 @@ class TruncatedPropagator:
         dim = len(self.kept_modes)
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {self.matrix.shape} vs {dim} kept modes")
+        self.kept_modes.setflags(write=False)
         self.matrix.setflags(write=False)
 
     @property
@@ -90,13 +89,16 @@ def build_noisy_propagator(
 
     Each entry is read off u itself by the trace formula above, one (q', q)
     block of the window at a time: O(k N^2) work per block for k kept offsets
-    per axis. For a Gaussian channel the window follows the module convention; a
-    window reaching N/2 degrades to the full grid with a warning. Channels
-    without sigma get the full build. Every full build is capped at oracle
-    scale. u must be a finite N x N unitary.
+    per axis. The window follows the module convention: dimension
+    min(4 W^2, N^2), kept_modes always in centered q-major order. A channel
+    with sigma None has no window and raises ValueError. u must be a finite
+    N x N unitary.
     """
     if not (np.isfinite(a_coeff) and a_coeff > 0):
         raise ValueError(f"truncation coefficient must be finite and positive, got {a_coeff}")
+    if ch.sigma is None:
+        raise ValueError("a channel with sigma None has no window; its full propagator is "
+                         "channel_spectrum(ch).values.ravel()[:, None] * oracles.chord_supermatrix(geom, u)")
     geom = ch.geometry
     n = geom.n
     if u.shape != (n, n):
@@ -104,20 +106,10 @@ def build_noisy_propagator(
     uerr = np.abs(u @ u.conj().T - np.eye(n)).max() if np.isfinite(u).all() else np.inf
     if not uerr <= 1e-10:
         raise ValueError(f"u is not unitary (deviation {uerr:.2e})")
-    full = ch.sigma is None
-    if full:
-        check_oracle_scale(n, "full build for a channel with no sigma")
-    else:
-        w = int(np.floor(a_coeff / (2 * np.pi * ch.sigma)))
-        if w < 1:
-            raise ValueError(f"window floor(a/(2 pi sigma)) = {w} keeps no modes; increase a_coeff")
-        full = 2 * w >= n
-        if full:
-            check_oracle_scale(n, f"full build for a window of half-width {w}")
-            msg = f"window half-width {w} covers the whole grid at N={n}; building the full propagator"
-            warnings.warn(msg, stacklevel=2)
-
-    offs = np.arange(n) if full else np.arange(-w, w) % n
+    w = int(np.floor(a_coeff / (2 * np.pi * ch.sigma)))
+    if w < 1:
+        raise ValueError(f"window floor(a/(2 pi sigma)) = {w} keeps no modes; increase a_coeff")
+    offs = np.arange(max(-w, -(n // 2)), min(w, (n + 1) // 2)) % n
     k = len(offs)
     kept = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
     f = np.exp(-2j * np.pi * np.outer(offs, np.arange(n)) / n)
@@ -215,6 +207,7 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     count, the path, the final Krylov dimension, the max residual/|theta|
     and, on the dense path, the reason.
     """
+    count = _integer(count, "eigenvalue count")
     if not 1 <= count <= tp.dim:
         raise ValueError(f"requested {count} eigenvalues; a dim-{tp.dim} propagator has 1 to {tp.dim}")
     vals, m, worst, reason = _arnoldi_top(tp.matrix, count)
@@ -235,6 +228,7 @@ def stability_report(s1: SpectrumResult, s2: SpectrumResult, count: int) -> floa
     unused eigenvalue of s2, which keeps near-degenerate moduli from being
     compared against the wrong partner.
     """
+    count = _integer(count, "eigenvalue count")
     available = min(len(s1.eigenvalues), len(s2.eigenvalues))
     if not 1 <= count <= available:
         raise ValueError(f"count {count} outside 1..{available} available eigenvalues")

@@ -1,6 +1,13 @@
-"""Each library module's __all__ names what it has, and the package re-exports exactly their union."""
+"""Each library module's __all__ names what it has, and the package re-exports exactly their union.
+
+The library never imports the oracles module: the dependency runs from the
+tests to both, never from the library to the oracles.
+"""
 
 import importlib
+import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -29,3 +36,10 @@ def test_package_reexports_the_union():
     for name in LIBRARY:
         mod = _module(name)
         assert all(getattr(chordnoise, n) is getattr(mod, n) for n in mod.__all__)
+
+
+def test_library_does_not_import_oracles():
+    code = "import chordnoise, sys; assert 'chordnoise.oracles' not in sys.modules"
+    src = os.path.dirname(os.path.dirname(chordnoise.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chordnoise import (
+    LinearMapSpec,
     TorusGeometry,
     chord_inverse,
     chord_transform,
@@ -84,6 +85,25 @@ def test_conjugation_phase_sign():
 def test_wedge_antisymmetry():
     assert wedge((2, 3), (2, 3)) == 0
     assert wedge((1, 4), (2, 3)) == -wedge((2, 3), (1, 4)) == 1 * 3 - 4 * 2
+
+
+G8 = TorusGeometry(8)
+LABEL_USERS = {
+    "composition_phase": lambda a: composition_phase(G8, a, (1, 1)),
+    "wedge": lambda a: wedge(a, (1, 1)),
+    "apply": lambda a: LinearMapSpec(1, 1, 1, 2).apply(a, 8),
+    "translation_operator": lambda a: translation_operator(G8, a),
+}
+
+
+@pytest.mark.parametrize("bad", [(0.5, 1), (1.5, 2), (1, 2.0), (1, "2")])
+@pytest.mark.parametrize("use", LABEL_USERS)
+def test_chord_labels_must_be_integers(use, bad):
+    with pytest.raises(ValueError, match="chord label . must be an integer"):
+        LABEL_USERS[use](bad)
+    # numpy integers are integers
+    good = LABEL_USERS[use](np.array([1, 2]))
+    assert np.array_equal(good, LABEL_USERS[use]((1, 2)))
 
 
 def test_orthogonality():

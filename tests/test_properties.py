@@ -3,8 +3,6 @@ chord round trip, channels from random weight tables against their Kraus
 sums, and the windowed propagator against the full supermatrix; and, for
 N <= 64, the quantized maps that the parity rule accepts."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -118,9 +116,7 @@ def windowed_maps(draw):
 
 
 def _build(ch, u, half_width):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the full-grid window warns
-        return build_noisy_propagator(ch, u, (half_width + 0.5) * 2 * np.pi * SIGMA)
+    return build_noisy_propagator(ch, u, (half_width + 0.5) * 2 * np.pi * SIGMA)
 
 
 @BUILDS

@@ -1,7 +1,6 @@
 """Window construction, eigenvalue ordering and spectral stability."""
 
 import logging
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -57,40 +56,35 @@ def test_a_coeff_validation():
         build_noisy_propagator(ch, u, 0.5)  # floor(0.5/(2 pi 0.3)) = 0
 
 
-def test_window_degrades_to_full_with_warning():
+def test_window_covering_the_grid_is_clipped_without_warning():
     g, u, ch = _standard_setup(n=10, sigma=0.3)
-    with pytest.warns(UserWarning, match="whole grid"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         tp = build_noisy_propagator(ch, u, 9.5)
     assert tp.full
     assert tp.dim == 100
+    centered = np.arange(-5, 5) % 10
+    expect = np.stack(np.meshgrid(centered, centered, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert np.array_equal(tp.kept_modes, expect)
 
 
-def test_no_sigma_builds_full_and_caps():
+def test_no_sigma_is_refused():
     g = TorusGeometry(8)
     u = quantize_linear_map(g, CAT)
-    tp = build_noisy_propagator(make_depolarizing(g, 0.3), u, 2.0)
-    assert tp.full and tp.dim == 64 and tp.sigma is None
-    n = ORACLE_N_CAP + 1
-    with pytest.raises(ValueError, match="no sigma.*capped"):
-        build_noisy_propagator(make_depolarizing(TorusGeometry(n), 0.3), np.eye(n, dtype=complex), 2.0)
+    with pytest.raises(ValueError, match="sigma"):
+        build_noisy_propagator(make_depolarizing(g, 0.3), u, 2.0)
 
 
-def test_grid_covering_window_is_capped():
-    # a window reaching N/2 degrades to the full N^2 x N^2 build, which is
-    # refused above the oracle cap before any of it is allocated
+def test_grid_covering_window_above_oracle_cap_builds():
+    # W = 9 reaches N/2 at N = 17: the window is clipped to the grid, and the
+    # oracle cap has no say in the library build
     n = ORACLE_N_CAP + 1
     ch = make_gaussian(TorusGeometry(n), 0.1)
     u = np.eye(n, dtype=complex)
-    tracemalloc.start()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="half-width 9 is capped"):
-                build_noisy_propagator(ch, u, 6.0)  # W = 9, 2W >= N
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * n**4 / 10  # a tenth of the complex N^2 x N^2 matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tp = build_noisy_propagator(ch, u, 6.0)
+    assert tp.full and tp.dim == 289
 
 
 def test_truncation_is_submatrix_of_full_operator():
@@ -130,6 +124,31 @@ def test_count_must_be_positive():
             leading_spectrum(tp, bad)
         with pytest.raises(ValueError, match="count"):
             stability_report(res, res, bad)
+
+
+def test_count_must_be_an_integer():
+    _, u, ch = _standard_setup(n=20, sigma=0.3)
+    tp = build_noisy_propagator(ch, u, 2.0)
+    res = leading_spectrum(tp, np.int64(4))
+    assert len(res.eigenvalues) == 4
+    assert stability_report(res, res, np.int64(4)) == 0.0
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            leading_spectrum(tp, bad)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            stability_report(res, res, bad)
+
+
+def test_kept_modes_frozen_in_place():
+    _, u, ch = _standard_setup(n=20, sigma=0.3)
+    tp = build_noisy_propagator(ch, u, 2.0)
+    assert not tp.kept_modes.flags.writeable and not tp.matrix.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        tp.kept_modes[0, 0] = 1
+    kept = np.argwhere(np.ones((2, 2), dtype=bool))
+    mat = np.eye(4, dtype=complex)
+    frozen = TruncatedPropagator(TorusGeometry(10), 0.1, 2.0, kept, mat)
+    assert frozen.kept_modes is kept and frozen.matrix is mat  # no copy
 
 
 def test_build_rejects_non_unitary_map():
