@@ -35,6 +35,7 @@ from .channels import (
 )
 from .dynamics import (
     LinearMapSpec,
+    KickedMap,
     quantize_linear_map,
     nonlinear_kick,
 )

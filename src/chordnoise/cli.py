@@ -23,7 +23,7 @@ from .channels import (
     make_gaussian,
     make_phase_damping_line,
 )
-from .dynamics import LinearMapSpec, nonlinear_kick, quantize_linear_map
+from .dynamics import KickedMap, LinearMapSpec
 from .phasespace import TorusGeometry
 from .spectral import SpectrumResult, build_noisy_propagator, leading_spectrum, sort_by_modulus, stability_report
 from .states import cat_state, density_from_pure, wigner_function
@@ -141,8 +141,8 @@ def cmd_propagator_spectrum(args) -> None:
         a, b, c, d = (int(x) for x in args.map.split(","))
     except ValueError:
         raise ValueError(f"--map must be four comma-separated integers, got {args.map!r}") from None
-    u = quantize_linear_map(geom, LinearMapSpec(a, b, c, d)) @ nonlinear_kick(geom, args.k)
-    tp = build_noisy_propagator(make_gaussian(geom, args.sigma), u, args.a_coeff)
+    evolution = KickedMap(LinearMapSpec(a, b, c, d), args.k)
+    tp = build_noisy_propagator(make_gaussian(geom, args.sigma), evolution, args.a_coeff)
     count = args.count if args.count else tp.dim
     spec = leading_spectrum(tp, count)
     # Python abs(z) per value: np.abs on the array differs from it in the last digit

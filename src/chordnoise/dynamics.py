@@ -18,7 +18,11 @@ Physica D 1 (1980) 267):
 * b = 0: only the shears a = d = 1 are covered, by diag(exp(i pi c n^2 / N)),
   which is N-periodic exactly when c*N is even.
 
-Every other map is refused before a kernel is formed.
+Every other map is refused before a kernel is formed. For accepted maps the
+covariance phase is exactly 1 on unreduced integer labels,
+U_M T_mu U_M^dag = T_{M mu}, so a kicked map U_M K needs no dense matrix to
+act on chords: `KickedMap` holds the four integers and the kick strength,
+and `spectral.build_noisy_propagator` builds its window from them alone.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .phasespace import TorusGeometry, _integer, _label
 
 __all__ = [
     "LinearMapSpec",
+    "KickedMap",
     "quantize_linear_map",
     "nonlinear_kick",
 ]
@@ -58,17 +63,26 @@ class LinearMapSpec:
         return ((self.a * q + self.b * p) % n, (self.c * q + self.d * p) % n)
 
 
-def quantize_linear_map(geom: TorusGeometry, m: LinearMapSpec) -> np.ndarray:
-    """Unitary U_M with exact translation covariance, in the position basis.
+@dataclass(frozen=True)
+class KickedMap:
+    """The kicked map U_M K: the kick K = nonlinear_kick(geom, kick), then U_M for spec.
 
-    For |b| = 1 the generating-function kernel is used,
-        <n'|U|n> = (1/sqrt(N)) * exp[(i*pi/(N*b)) (a n^2 - 2 n n' + d n'^2)],
-    accepted iff a*N and d*N are even. b = 0 with a = d = 1 is the shear
-    diag(exp(i*pi*c*n^2/N)), accepted iff c*N is even. Anything else is
-    refused. The rule is derived in the module docstring; it is checked before
-    the kernel is formed, and the ValueError names the failing condition.
+    A value, not a matrix: `spectral.build_noisy_propagator` takes it in
+    place of the dense unitary and accepts it on the same tori as
+    `quantize_linear_map`.
     """
-    n = geom.n
+
+    spec: LinearMapSpec
+    kick: float
+
+    def __post_init__(self):
+        if not isinstance(self.spec, LinearMapSpec):
+            raise ValueError(f"spec must be a LinearMapSpec, got {self.spec!r}")
+        object.__setattr__(self, "kick", _finite_kick(self.kick))
+
+
+def _check_quantizable(m: LinearMapSpec, n: int) -> None:
+    """Raise ValueError naming the failing condition unless the rule of the module docstring accepts (m, N)."""
     if abs(m.b) == 1:
         parities = (("a", m.a), ("d", m.d))
     elif m.b != 0:
@@ -80,6 +94,20 @@ def quantize_linear_map(geom: TorusGeometry, m: LinearMapSpec) -> np.ndarray:
     for name, entry in parities:
         if entry * n % 2:
             raise ValueError(f"kernel for {m} at N={n} breaks covariance: {name}*N = {entry * n} is odd")
+
+
+def quantize_linear_map(geom: TorusGeometry, m: LinearMapSpec) -> np.ndarray:
+    """Unitary U_M with exact translation covariance, in the position basis.
+
+    For |b| = 1 the generating-function kernel is used,
+        <n'|U|n> = (1/sqrt(N)) * exp[(i*pi/(N*b)) (a n^2 - 2 n n' + d n'^2)],
+    accepted iff a*N and d*N are even. b = 0 with a = d = 1 is the shear
+    diag(exp(i*pi*c*n^2/N)), accepted iff c*N is even. Anything else is
+    refused. The rule is derived in the module docstring; it is checked before
+    the kernel is formed, and the ValueError names the failing condition.
+    """
+    n = geom.n
+    _check_quantizable(m, n)
     k = np.arange(n)
     if m.b == 0:
         return np.diag(np.exp(1j * np.pi * m.c * k**2 / n))
@@ -88,10 +116,17 @@ def quantize_linear_map(geom: TorusGeometry, m: LinearMapSpec) -> np.ndarray:
     return np.exp(1j * np.pi * (m.a * nn**2 - 2 * nn * npr + m.d * npr**2) / (n * m.b)) / np.sqrt(n)
 
 
-def nonlinear_kick(geom: TorusGeometry, k: float) -> np.ndarray:
-    """Position-diagonal kick diag(exp[-i (k N / 2 pi) cos(2 pi n / N)])."""
+def _finite_kick(k) -> float:
     if not np.isfinite(k):
         raise ValueError(f"kick strength must be finite, got {k}")
-    n = geom.n
-    phases = -1j * (k * n / (2 * np.pi)) * np.cos(2 * np.pi * np.arange(n) / n)
-    return np.diag(np.exp(phases))
+    return float(k)
+
+
+def _kick_phase(n: int, k: float) -> np.ndarray:
+    """Kick phases phi(j) = -(k N / 2 pi) cos(2 pi j / N) for j = 0..N-1."""
+    return -(_finite_kick(k) * n / (2 * np.pi)) * np.cos(2 * np.pi * np.arange(n) / n)
+
+
+def nonlinear_kick(geom: TorusGeometry, k: float) -> np.ndarray:
+    """Position-diagonal kick diag(exp[i phi(n)]), phi(n) = -(k N / 2 pi) cos(2 pi n / N)."""
+    return np.diag(np.exp(1j * _kick_phase(geom.n, k)))

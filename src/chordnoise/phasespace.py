@@ -69,11 +69,6 @@ class TorusGeometry:
             raise ValueError(f"phase-space dimension must be >= 2, got {n}")
         object.__setattr__(self, "n", n)
 
-    @property
-    def hbar_eff(self) -> float:
-        """Effective Planck constant, 1/(2*pi*N)."""
-        return 1.0 / (2.0 * np.pi * self.n)
-
 
 def translation_operator(geom: TorusGeometry, alpha) -> np.ndarray:
     """Matrix of T_(q,p) in the position basis.

@@ -32,9 +32,14 @@ _M_MAX = 3
 
 
 def coherent_state(geom: TorusGeometry, q0: float, p0: float) -> np.ndarray:
-    """Normalized Gaussian wavepacket centered at (q0, p0), both in [0, 1)."""
+    """Normalized Gaussian wavepacket centered at (q0, p0) on the unit torus.
+
+    Centers are reduced mod 1 before the images are summed, so any finite
+    center works and centers in [0, 1) are used as given.
+    """
     if not np.isfinite([q0, p0]).all():
         raise ValueError(f"packet center must be finite, got ({q0}, {p0})")
+    q0, p0 = q0 % 1.0, p0 % 1.0
     n = geom.n
     x = np.arange(n) / n
     amp = np.zeros(n, dtype=complex)

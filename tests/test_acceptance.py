@@ -232,7 +232,7 @@ def test_criterion_11_full_vs_truncated():
         ch = make_gaussian(g, 0.3)
         u = quantize_linear_map(g, CAT) @ nonlinear_kick(g, 0.5)
         tp = build_noisy_propagator(ch, u, 9.5)
-        assert tp.full and tp.dim == 100
+        assert tp.dim == 10**2
         idx = tp.kept_modes[:, 0] * 10 + tp.kept_modes[:, 1]
         assert np.array_equal(np.sort(idx), np.arange(100))  # a permutation of all N^2 labels
         full_mat = channel_spectrum(ch).values.ravel()[:, None] * chord_supermatrix(g, u)

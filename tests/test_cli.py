@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 import chordnoise.cli
 from chordnoise import (
+    KickedMap,
     LinearMapSpec,
     TorusGeometry,
     apply_channel,
@@ -223,6 +224,47 @@ def test_text_format_pinned(tmp_path, fmt):
     assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], vals.ravel())
 
 
+def test_evolve_takes_centers_outside_the_unit_square(tmp_path):
+    out, ref = tmp_path / "far.csv", tmp_path / "near.csv"
+    flags = ["evolve", "--n", "32", "--family", "depolarizing", "--epsilon", "0.3"]
+    assert main(flags + ["--centers", "10.4,0.25,0.6,-3.25", "--out", str(out)]) == 0
+    assert main(flags + ["--out", str(ref)]) == 0
+    assert np.abs(np.array(_read_csv(out)[2]) - np.array(_read_csv(ref)[2])).max() < 1e-12
+
+
+def test_cli_top_eigenvalues_match_the_dense_build(tmp_path):
+    # The cli builds from KickedMap; the dense-u build is the reference. Their
+    # entries differ by 4e-14, and eigenvalues 2 and 3 (condition ~4.5e7) by
+    # 2.4e-9: against the same window evaluated in extended precision, the
+    # dense-u entries are off by 4e-14 and move those two by 2.4e-9 to first
+    # order, the KickedMap entries by 2e-16 and 1e-14. So the bound is the
+    # 1e-8 within which the benchmark counts an eigenvalue as converged.
+    out = tmp_path / "top.csv"
+    assert main(["propagator-spectrum", "--a-coeff", "2.8", "--count", "3", "--out", str(out)]) == 0
+    rows = np.array(_read_csv(out)[2])
+    g = TorusGeometry(100)
+    u = quantize_linear_map(g, LinearMapSpec(1, 1, 1, 2)) @ nonlinear_kick(g, 0.02)
+    dense = leading_spectrum(build_noisy_propagator(make_gaussian(g, 0.063), u, 2.8), 3).eigenvalues
+    top = rows[:, 0] + 1j * rows[:, 1]
+    assert abs(top[0] - dense[0]) < 1e-14
+    assert np.abs(top - dense).max() < 1e-8
+
+
+def test_oversized_window_is_an_error(tmp_path, capsys):
+    # W = 151 at N = 1000: dim 91,204, whose dense matrix would take 133 GB
+    tracemalloc.start()
+    try:
+        rc = main(["propagator-spectrum", "--n", "1000", "--a-coeff", "60", "--out", str(tmp_path / "x.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dim-91204" in err and "133,090,713,856 bytes" in err
+    assert peak < 64e6  # the channel's N x N tables, no window
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_propagator_header_holds_every_flag(tmp_path):
     out = tmp_path / "p.csv"
     argv = ["--n", "20", "--sigma", "0.3", "--k", "0.05", "--map", "2,1,1,1", "--a-coeff", "4.0", "--count", "3"]
@@ -307,8 +349,7 @@ def _cat(n):
 
 def _eigen_rows(n, sigma, a):
     g = TorusGeometry(n)
-    u = quantize_linear_map(g, LinearMapSpec(1, 1, 1, 2)) @ nonlinear_kick(g, 0.02)
-    tp = build_noisy_propagator(make_gaussian(g, sigma), u, a)
+    tp = build_noisy_propagator(make_gaussian(g, sigma), KickedMap(LinearMapSpec(1, 1, 1, 2), 0.02), a)
     return [
         (z.real, z.imag, abs(z), float(np.angle(z)), float(-np.log(abs(z))) if abs(z) > 0 else float("inf"))
         for z in leading_spectrum(tp, tp.dim).eigenvalues

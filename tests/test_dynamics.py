@@ -106,6 +106,27 @@ def test_refusal_names_the_failing_condition(m, n, reason):
         quantize_linear_map(TorusGeometry(n), m)
 
 
+def test_covariance_phase_is_one_on_unreduced_labels():
+    # U_M T_mu U_M^dag = T_{M mu} with no phase, the sign of the reduction
+    # coming from translation_operator; the KickedMap build relies on it
+    accepted = 0
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
+        if a * d - b * c != 1:
+            continue
+        m = LinearMapSpec(a, b, c, d)
+        for n in range(2, 13):
+            g = TorusGeometry(n)
+            try:
+                u = quantize_linear_map(g, m)
+            except ValueError:
+                continue
+            accepted += 1
+            for q, p in ((1, 0), (0, 1), (n - 1, 2), (3, n - 2)):
+                lhs = u @ translation_operator(g, (q, p)) @ u.conj().T
+                assert np.abs(lhs - translation_operator(g, (a * q + b * p, c * q + d * p))).max() < 1e-12, (m, n)
+    assert accepted > 400
+
+
 def test_identity_map_quantizes_to_identity():
     g = TorusGeometry(12)
     u = quantize_linear_map(g, LinearMapSpec(1, 0, 0, 1))

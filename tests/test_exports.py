@@ -1,7 +1,8 @@
 """Each library module's __all__ names what it has, and the package re-exports exactly their union.
 
 The library never imports the oracles module: the dependency runs from the
-tests to both, never from the library to the oracles.
+tests to both, never from the library to the oracles. Nor does it import
+scipy.
 """
 
 import importlib
@@ -38,8 +39,20 @@ def test_package_reexports_the_union():
         assert all(getattr(chordnoise, n) is getattr(mod, n) for n in mod.__all__)
 
 
-def test_library_does_not_import_oracles():
-    code = "import chordnoise, sys; assert 'chordnoise.oracles' not in sys.modules"
+def _in_fresh_interpreter(code):
     src = os.path.dirname(os.path.dirname(chordnoise.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_library_does_not_import_oracles():
+    _in_fresh_interpreter("import chordnoise, sys; assert 'chordnoise.oracles' not in sys.modules")
+
+
+def test_library_and_cli_do_not_import_scipy():
+    # scipy is installed but never needed: its import would cost ~0.4 s and ~32 MB per run
+    _in_fresh_interpreter(
+        "import chordnoise, chordnoise.cli, sys; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules), "
+        "sorted(m for m in sys.modules if m.startswith('scipy'))"
+    )

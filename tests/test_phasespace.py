@@ -21,7 +21,6 @@ from chordnoise import (
 def test_geometry_validation():
     with pytest.raises(ValueError):
         TorusGeometry(1)
-    assert TorusGeometry(7).hbar_eff == pytest.approx(1.0 / (14 * np.pi))
 
 
 @pytest.mark.parametrize("n", [10.0, 10.5, "10", None])

@@ -1,7 +1,8 @@
 """Property tests over random inputs, N <= 12: the Wigner identities, the
 chord round trip, channels from random weight tables against their Kraus
-sums, and the windowed propagator against the full supermatrix; and, for
-N <= 64, the quantized maps that the parity rule accepts."""
+sums, the windowed propagator against the full supermatrix, and its
+covariance build for kicked maps against the dense build; and, for N <= 64,
+the quantized maps that the parity rule accepts."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from chordnoise import (
     DiagonalChordChannel,
+    KickedMap,
     LinearMapSpec,
     TorusGeometry,
     apply_channel,
@@ -20,6 +22,7 @@ from chordnoise import (
     channel_spectrum,
     chord_inverse,
     chord_transform,
+    nonlinear_kick,
     quantize_linear_map,
     translation_operator,
     wigner_function,
@@ -142,9 +145,9 @@ def test_smaller_window_is_submatrix(case):
 
 
 @st.composite
-def accepted_maps(draw):
-    """N in 2..64 and a map quantize_linear_map accepts: |b| = 1 with a*N, d*N even, or a shear with c*N even."""
-    n = draw(st.integers(2, 64))
+def accepted_maps(draw, max_n=64):
+    """N in 2..max_n and a map quantize_linear_map accepts: |b| = 1 with a*N, d*N even, or a shear with c*N even."""
+    n = draw(st.integers(2, max_n))
     step = 1 if n % 2 == 0 else 2
     if draw(st.booleans()):
         b = draw(st.sampled_from([1, -1]))
@@ -167,3 +170,26 @@ def test_accepted_maps_are_unitary_and_covariant(case):
         target = translation_operator(g, m.apply(alpha, g.n))
         phase = np.vdot(target, lhs) / g.n
         assert np.abs(lhs - phase * target).max() < 1e-10
+
+
+@st.composite
+def kicked_windows(draw):
+    """An accepted map at N in 2..12, a kick in [-3, 3], a random-weight channel declaring SIGMA and a half-width."""
+    g, m, _ = draw(accepted_maps(max_n=12))
+    n = g.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random((n, n))
+    ch = DiagonalChordChannel(g, float(rng.uniform()), w * n / w.sum(), sigma=SIGMA)
+    kick = draw(st.floats(-3.0, 3.0, allow_nan=False))
+    return ch, m, kick, draw(st.integers(1, (n + 1) // 2))
+
+
+@BUILDS
+@given(kicked_windows())
+def test_kicked_map_window_is_the_dense_window(case):
+    ch, m, kick, half_width = case
+    g = ch.geometry
+    dense = _build(ch, quantize_linear_map(g, m) @ nonlinear_kick(g, kick), half_width)
+    tp = _build(ch, KickedMap(m, kick), half_width)
+    assert np.array_equal(tp.kept_modes, dense.kept_modes)
+    assert np.abs(tp.matrix - dense.matrix).max() < 1e-12

@@ -1,6 +1,8 @@
 """Window construction, eigenvalue ordering and spectral stability."""
 
+import itertools
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from chordnoise import (
     DiagonalChordChannel,
+    KickedMap,
     LinearMapSpec,
     TorusGeometry,
     build_noisy_propagator,
@@ -22,10 +25,11 @@ from chordnoise import (
     stability_report,
     translation_operator,
 )
-from chordnoise.spectral import TruncatedPropagator
+from chordnoise.spectral import _WINDOW_BYTES_BUDGET, TruncatedPropagator
 from chordnoise.oracles import ORACLE_N_CAP, chord_supermatrix
 
 CAT = LinearMapSpec(1, 1, 1, 2)
+MAPS = [LinearMapSpec(*e) for e in itertools.product(range(-3, 4), repeat=4) if e[0] * e[3] - e[1] * e[2] == 1]
 
 
 def _standard_setup(n=100, sigma=0.063, k=0.02):
@@ -45,7 +49,7 @@ def test_window_containment():
     small = build_noisy_propagator(ch, u, 2.0)
     large = build_noisy_propagator(ch, u, 2.8)
     assert set(map(tuple, small.kept_modes.tolist())) < set(map(tuple, large.kept_modes.tolist()))
-    assert not small.full and not large.full
+    assert small.dim < 100**2 and large.dim < 100**2
 
 
 def test_a_coeff_validation():
@@ -61,8 +65,7 @@ def test_window_covering_the_grid_is_clipped_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tp = build_noisy_propagator(ch, u, 9.5)
-    assert tp.full
-    assert tp.dim == 100
+    assert tp.dim == 10**2
     centered = np.arange(-5, 5) % 10
     expect = np.stack(np.meshgrid(centered, centered, indexing="ij"), axis=-1).reshape(-1, 2)
     assert np.array_equal(tp.kept_modes, expect)
@@ -84,7 +87,7 @@ def test_grid_covering_window_above_oracle_cap_builds():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tp = build_noisy_propagator(ch, u, 6.0)
-    assert tp.full and tp.dim == 289
+    assert tp.dim == n**2
 
 
 def test_truncation_is_submatrix_of_full_operator():
@@ -98,6 +101,63 @@ def test_truncation_is_submatrix_of_full_operator():
     full = channel_spectrum(ch).values.ravel()[:, None] * chord_supermatrix(g, u)
     idx = tp.kept_modes[:, 0] * 10 + tp.kept_modes[:, 1]
     assert np.abs(tp.matrix - full[np.ix_(idx, idx)]).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [20, 24, 64, 100])
+def test_kicked_map_matches_the_dense_build(n):
+    # every accepted map with entries in -3..3, four kicks, W = 3 (dim 36)
+    g = TorusGeometry(n)
+    ch = make_gaussian(g, 0.1)
+    accepted = 0
+    for m in MAPS:
+        try:
+            um = quantize_linear_map(g, m)
+        except ValueError:
+            continue
+        accepted += 1
+        for k in (0.0, 0.02, 0.3, 1.0):
+            dense = build_noisy_propagator(ch, um @ nonlinear_kick(g, k), 2.0)
+            tp = build_noisy_propagator(ch, KickedMap(m, k), 2.0)
+            assert tp.dim == 36 and np.array_equal(tp.kept_modes, dense.kept_modes)
+            assert np.abs(tp.matrix - dense.matrix).max() < 1e-12, (m, k)
+    assert accepted == 69
+
+
+def test_kicked_map_is_refused_where_quantization_is():
+    ch = make_gaussian(TorusGeometry(9), 0.2)
+    for m in MAPS:
+        try:
+            quantize_linear_map(ch.geometry, m)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                build_noisy_propagator(ch, KickedMap(m, 0.3), 2.0)
+            assert str(info.value) == str(exc)
+        else:
+            assert build_noisy_propagator(ch, KickedMap(m, 0.3), 2.0).dim == 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kicked_map_validation(bad):
+    with pytest.raises(ValueError, match="finite"):
+        KickedMap(CAT, bad)
+    with pytest.raises(ValueError, match="LinearMapSpec"):
+        KickedMap((1, 1, 1, 2), 0.3)
+    assert KickedMap(CAT, np.float32(0.5)).kick == 0.5
+
+
+def test_oversized_window_refused_before_allocating():
+    # W = 151 at N = 1000: dim 91,204, whose dense matrix would take 133 GB
+    ch = make_gaussian(TorusGeometry(1000), 0.063)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"dim-91204 window needs 133,090,713,856 bytes"):
+            build_noisy_propagator(ch, KickedMap(CAT, 0.02), 60.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # the largest window inside the budget still passes the check
+    assert (4 * 64**2) ** 2 * 16 <= _WINDOW_BYTES_BUDGET < (4 * 65**2) ** 2 * 16
 
 
 def test_sort_by_modulus_ordering():

@@ -43,6 +43,14 @@ def test_coherent_separated_overlap():
     assert ov < 1e-6
 
 
+def test_coherent_center_is_taken_mod_one():
+    # q0 = 10.4 used to overflow the image sum into an all-NaN vector
+    g = TorusGeometry(32)
+    ref = coherent_state(g, 0.4, 0.25)
+    for q0, p0 in ((10.4, 0.25), (0.4, -6.75), (-3.6, 7.25)):
+        assert np.abs(coherent_state(g, q0, p0) - ref).max() < 1e-12
+
+
 def test_cat_same_centers_is_coherent():
     g = TorusGeometry(16)
     assert_allclose(cat_state(g, (0.3, 0.7), (0.3, 0.7)), coherent_state(g, 0.3, 0.7), atol=1e-14)
