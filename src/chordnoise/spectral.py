@@ -31,11 +31,30 @@ column, so for canonical labels lam' = (q', p'), lam = (q, p) the trace is a
 bilinear form in U's entries:
 Tr[T_lam'^dag U T_lam U^dag] = e^{i pi (p q - p' q')/N} [F M F^dag]_{p', p}
 with M[a, d] = U[a+q', d+q] conj(U[a, d]) (mod N) and F[p, a] = e^{-2 pi i p a/N}.
-That is O(k N^2) per (q', q) block, O(k^3 N^2) in all: ~20, ~60 and ~260 ms
-at the same sizes. It is the route for a general unitary and the reference for
-the kicked one, which it matches to ~5e-14 at N=100. Against the window
-evaluated in extended precision, the kicked entries are off by 2e-16 and the
-dense ones by 4e-14.
+Half of the (q', q) blocks follow from the other half. T_(-lam) = T_lam^dag
+on unreduced labels and X -> U X U^dag commutes with ^dag, so for any U,
+unitary or not, the entries E(lam', lam) = (1/N) Tr[T_lam'^dag U T_lam U^dag]
+obey the mirror identity
+    E(m(lam'), m(lam)) = s(lam') s(lam) conj E(lam', lam),  m(lam) = (-lam) mod N,
+with s(q, p) = (-1)^(p [q>0] + q [p>0] + N [q>0][p>0]) the sign of reducing
+(-q, -p) into [0, N), from T_(q+N,p) = (-1)^p T_(q,p) and
+T_(q,p+N) = (-1)^q T_(q,p). On the bilinear form, which is N-periodic in all
+four labels, it reads
+    [F M F^dag](-q', -q)_{-p', -p} = e^{2 pi i (p' q' - p q)/N} conj [F M F^dag](q', q)_{p', p}.
+So each computed block is evaluated on the symmetric momenta [-W, W], one
+more than the kept [-W, W), and its conjugate fills block (-q', -q). The
+blocks at the window's lower edge q' = -W or q = -W have no kept mirror and
+are computed alone, as is (0, 0), its own mirror: 60 of 100 blocks are
+computed at k=10, 760 of 1444 at k=38. Sigma scales the rows after the
+fill, so the identity needs nothing from the channel. M is formed in one
+preallocated N x N buffer from contiguous slices of U, with no copy of U per
+block. That is O(k N^2) per computed block, O(k^3 N^2) in all: ~11, ~46 and
+~150 ms at the same sizes, and ~64 ms at N=400, dim 100 (~20, ~75, ~250 and
+~120 ms with every block computed from a shifted copy of U).
+It is the route for a general unitary and the reference for the kicked one,
+which it matches to ~5e-14 at N=100. Against the window evaluated in
+extended precision, the kicked entries are off by 2e-16 and the dense ones
+by 4e-14.
 
 The leading eigenvalues come from an Arnoldi iteration on the window matrix,
 with the dense eigensolver as fallback (see leading_spectrum).
@@ -44,6 +63,7 @@ with the dense eigensolver as fallback (see leading_spectrum).
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +125,14 @@ class SpectrumResult:
 _WINDOW_BYTES_BUDGET = 4 * 2**30
 
 
-def _window(ch: DiagonalChordChannel, a_coeff: float, entries) -> TruncatedPropagator:
+def _window(ch: DiagonalChordChannel, a_coeff: float, entries) -> tuple[TruncatedPropagator, int]:
     """The window of the module docstring, filled by entries(offs, sigma).
 
     entries takes the kept offsets per axis, canonical and in centered order,
     and the (k, k) table sigma of Sigma(q', p') on the kept rows, and returns
-    the (k, k, k, k) array [q', p', q, p] of Sigma(lam') (1/N) Tr[T_lam'^dag U T_lam U^dag].
+    the (k, k, k, k) array [q', p', q, p] of Sigma(lam') (1/N) Tr[T_lam'^dag U T_lam U^dag]
+    and the number of its (q', q) blocks filled by the mirror identity, which
+    this passes on beside the propagator.
     """
     if not (np.isfinite(a_coeff) and a_coeff > 0):
         raise ValueError(f"truncation coefficient must be finite and positive, got {a_coeff}")
@@ -127,24 +149,61 @@ def _window(ch: DiagonalChordChannel, a_coeff: float, entries) -> TruncatedPropa
         raise ValueError(f"a dim-{dim} window needs {dim**2 * 16:,} bytes as a dense complex matrix, "
                          f"over the {_WINDOW_BYTES_BUDGET:,}-byte budget; decrease a_coeff")
     kept = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
-    blocks = entries(offs, channel_spectrum(ch).values[np.ix_(offs, offs)])
-    return TruncatedPropagator(ch.geometry, ch.sigma, a_coeff, kept, blocks.reshape(dim, dim))
+    blocks, mirrored = entries(offs, channel_spectrum(ch).values[np.ix_(offs, offs)])
+    return TruncatedPropagator(ch.geometry, ch.sigma, a_coeff, kept, blocks.reshape(dim, dim)), mirrored
 
 
-def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Window entries read off a dense u by the bilinear form, one (q', q) block at a time."""
+def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, int]:
+    """Window entries read off a dense u by the bilinear form, and how many (q', q) blocks were mirrored.
+
+    Block (q', q) is F M F^dag over the symmetric momenta [-E, E] that hold
+    the kept ones and their negatives, so it also gives block (-q', -q) by the
+    mirror identity of the module docstring; a block whose mirror is not kept
+    (q' or q at the window's lower edge) is computed on its own.
+    """
+    u = np.ascontiguousarray(u)
     n, k = len(u), len(offs)
-    f = np.exp(-2j * np.pi * np.outer(offs, np.arange(n)) / n)
+    cen = ((offs + n // 2) % n - n // 2).tolist()  # centered, ascending
+    e = max(-cen[0], cen[-1])
+    keep = slice(cen[0] + e, cen[0] + e + k)  # the kept momenta among [-E, E]
+    f = np.exp(-2j * np.pi * np.outer(np.arange(-e, e + 1), np.arange(n)) / n)
     fdag, ubar = f.conj().T, u.conj()
+    nn = n * n
+    buf = np.empty((n, n), dtype=complex)
+    uf, ubarf, buff = u.reshape(nn), ubar.reshape(nn), buf.reshape(nn)
+    # rot[i, r] = e^{-2 pi i c_i c_r / N}; block (-q'_i, -q_j) takes the phase rot[i, r] conj(rot[j, s])
+    rot = np.exp(-2j * np.pi * (np.outer(cen, cen) % n) / n)
+    index = {q: i for i, q in enumerate(cen)}
     blocks = np.empty((k, k, k, k), dtype=complex)  # [q', p', q, p]
-    for i, qr in enumerate(offs.tolist()):
-        for j, qc in enumerate(offs.tolist()):
-            blocks[i, :, j, :] = f @ (np.roll(u, (-qr, -qc), axis=(0, 1)) * ubar) @ fdag
+    mirrored = 0
+    for i, qr in enumerate(cen):
+        for j, qc in enumerate(cen):
+            mi, mj = index.get(-qr), index.get(-qc)
+            paired = mi is not None and mj is not None
+            if paired and (qr, qc) < (-qr, -qc):
+                continue  # filled from block (-q', -q)
+            # buf[a, d] = u[a + q', d + q] conj(u[a, d]), indices mod N: the flat u shifted by
+            # q' N + q, then the |q| columns where d + q wrapped into the next row, redone
+            o = (qr * n + qc) % nn
+            np.multiply(uf[o:], ubarf[: nn - o], out=buff[: nn - o])
+            np.multiply(uf[:o], ubarf[nn - o :], out=buff[nn - o :])
+            if qc:
+                s = qr % n
+                dst, src = (slice(n - qc, n), slice(0, qc)) if qc > 0 else (slice(0, -qc), slice(n + qc, n))
+                np.multiply(u[s:, src], ubar[: n - s, dst], out=buf[: n - s, dst])
+                np.multiply(u[:s, src], ubar[n - s :, dst], out=buf[n - s :, dst])
+            b = f @ buf @ fdag
+            blocks[i, :, j, :] = b[keep, keep]
+            if paired and (mi, mj) != (i, j):
+                mirror = blocks[mi, :, mj, :]
+                np.conjugate(b[::-1, ::-1][keep, keep], out=mirror)
+                mirror *= np.outer(rot[i], rot[j].conj())
+                mirrored += 1
     # in place: rows take Sigma(q', p') e^{-i pi p'q'/N} / N, columns e^{+i pi p q/N}
     half = np.exp(1j * np.pi * np.outer(offs, offs) / n)
     blocks *= (sigma * half.conj() / n)[:, :, None, None]
     blocks *= half
-    return blocks
+    return blocks, mirrored
 
 
 def _covariant_entries(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -181,23 +240,38 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     comes from covariance alone, with no u formed: O(k^3 + k N log N) for k
     kept offsets per axis. Its map must pass quantize_linear_map's rule, with
     the same ValueError. A dense u must be finite and unitary; its entries
-    come from the bilinear form, O(k N^2) per (q', q) block, O(k^3 N^2) in all.
+    come from the bilinear form, O(k N^2) per (q', q) block, O(k^3 N^2) in all,
+    with about half the blocks filled from their mirror (-q', -q) by
+    conjugation; besides the window it holds conj(u) and one N x N buffer.
     The window follows the module convention: dimension min(4 W^2, N^2),
     kept_modes always in centered q-major order. A channel with sigma None
     has no window and raises ValueError, as does a window whose dense matrix
     would pass _WINDOW_BYTES_BUDGET.
+
+    Logs one DEBUG record to the "chordnoise.spectral" logger with the branch
+    (kicked or dense), dim, the (q', q) blocks computed and mirrored (all k^2
+    computed on the kicked branch) and the seconds taken.
     """
+    start = time.perf_counter()
     n = ch.geometry.n
     if isinstance(evolution, KickedMap):
         _check_quantizable(evolution.spec, n)
-        return _window(ch, a_coeff, lambda offs, sigma: _covariant_entries(evolution, n, offs, sigma))
-    u = evolution
-    if u.shape != (n, n):
-        raise ValueError(f"unitary shape {u.shape} does not match N={n}")
-    uerr = np.abs(u @ u.conj().T - np.eye(n)).max() if np.isfinite(u).all() else np.inf
-    if not uerr <= 1e-10:
-        raise ValueError(f"u is not unitary (deviation {uerr:.2e})")
-    return _window(ch, a_coeff, lambda offs, sigma: _bilinear_entries(u, offs, sigma))
+        branch = "kicked"
+        tp, mirrored = _window(ch, a_coeff, lambda offs, sigma: (_covariant_entries(evolution, n, offs, sigma), 0))
+    else:
+        u = evolution
+        if u.shape != (n, n):
+            raise ValueError(f"unitary shape {u.shape} does not match N={n}")
+        uerr = np.abs(u @ u.conj().T - np.eye(n)).max() if np.isfinite(u).all() else np.inf
+        if not uerr <= 1e-10:
+            raise ValueError(f"u is not unitary (deviation {uerr:.2e})")
+        branch = "dense"
+        tp, mirrored = _window(ch, a_coeff, lambda offs, sigma: _bilinear_entries(u, offs, sigma))
+    _log.debug(
+        "build_noisy_propagator branch=%s dim=%d blocks_computed=%d blocks_mirrored=%d seconds=%.4f",
+        branch, tp.dim, tp.dim - mirrored, mirrored, time.perf_counter() - start,
+    )
+    return tp
 
 
 def _modulus_order(vals: np.ndarray) -> np.ndarray:
@@ -236,7 +310,7 @@ def _arnoldi_top(a: np.ndarray, count: int):
             w = a @ basis[j]
             scale = np.linalg.norm(w)
             for _ in range(2):  # classical Gram-Schmidt, twice
-                c = basis[: j + 1].conj() @ w
+                c = (basis[: j + 1] @ w.conj()).conj()
                 w -= c @ basis[: j + 1]
                 hess[: j + 1, j] += c
             hess[j + 1, j] = beta = np.linalg.norm(w)

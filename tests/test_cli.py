@@ -235,10 +235,11 @@ def test_evolve_takes_centers_outside_the_unit_square(tmp_path):
 def test_cli_top_eigenvalues_match_the_dense_build(tmp_path):
     # The cli builds from KickedMap; the dense-u build is the reference. Their
     # entries differ by 4e-14, and eigenvalues 2 and 3 (condition ~4.5e7) by
-    # 2.4e-9: against the same window evaluated in extended precision, the
-    # dense-u entries are off by 4e-14 and move those two by 2.4e-9 to first
-    # order, the KickedMap entries by 2e-16 and 1e-14. So the bound is the
-    # 1e-8 within which the benchmark counts an eigenvalue as converged.
+    # 4.9e-10 (2.4e-9 while the dense build computed every block instead of
+    # filling half from their mirrors): against the same window evaluated in
+    # extended precision, the dense-u entries are off by 4e-14, the KickedMap
+    # entries by 2e-16. So the bound is the 1e-8 within which the benchmark
+    # counts an eigenvalue as converged.
     out = tmp_path / "top.csv"
     assert main(["propagator-spectrum", "--a-coeff", "2.8", "--count", "3", "--out", str(out)]) == 0
     rows = np.array(_read_csv(out)[2])

@@ -78,6 +78,20 @@ def test_chord_round_trip(a):
     assert np.abs(chord_inverse(chord_transform(a, geom)) - a).max() < 1e-12
 
 
+@SMALL
+@given(st.integers(2, 12).flatmap(complex_matrices))
+def test_supermatrix_mirror_identity(u):
+    # T_(-lam) = T_lam^dag on unreduced labels, so for any u, unitary or not,
+    # S[m(lam'), m(lam)] = s(lam') s(lam) conj S[lam', lam] with m(lam) = (-lam) mod N
+    # and s(q, p) the sign of reducing (-q, -p) into [0, N)
+    n = u.shape[0]
+    q, p = np.divmod(np.arange(n * n), n)
+    mirror = (-q % n) * n + (-p % n)
+    sign = (-1.0) ** (p * (q > 0) + q * (p > 0) + n * (q > 0) * (p > 0))
+    s = chord_supermatrix(TorusGeometry(n), u)
+    assert np.abs(s[np.ix_(mirror, mirror)] - np.outer(sign, sign) * s.conj()).max() < 1e-12
+
+
 @st.composite
 def channels_and_operators(draw):
     """A channel from a random weight table (zeros included) with eps in [0, 1], and an operator."""

@@ -25,7 +25,7 @@ from chordnoise import (
     stability_report,
     translation_operator,
 )
-from chordnoise.spectral import _WINDOW_BYTES_BUDGET, TruncatedPropagator
+from chordnoise.spectral import _WINDOW_BYTES_BUDGET, TruncatedPropagator, _bilinear_entries
 from chordnoise.oracles import ORACLE_N_CAP, chord_supermatrix
 
 CAT = LinearMapSpec(1, 1, 1, 2)
@@ -158,6 +158,47 @@ def test_oversized_window_refused_before_allocating():
     assert peak < 1e6
     # the largest window inside the budget still passes the check
     assert (4 * 64**2) ** 2 * 16 <= _WINDOW_BYTES_BUDGET < (4 * 65**2) ** 2 * 16
+
+
+def test_dense_build_holds_no_copy_of_u_per_block():
+    # N = 256, W = 3 (dim 36). The entries hold conj(u) and one N x N product
+    # buffer besides the window; a per-block copy of u would add a third N x N.
+    # The whole build peaks at the channel's N x N spectrum, formed before.
+    _, u, ch = _standard_setup(n=256, sigma=0.1, k=0.3)
+    offs = np.arange(-3, 3) % 256
+    unitary = u.nbytes
+    tracemalloc.start()
+    try:
+        tp = build_noisy_propagator(ch, u, 2.0)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        blocks, _ = _bilinear_entries(u, offs, np.ones((6, 6)))
+        entries_peak = tracemalloc.get_traced_memory()[1] - blocks.nbytes
+    finally:
+        tracemalloc.stop()
+    assert tp.dim == 36
+    assert entries_peak < tp.matrix.nbytes + 2.5 * unitary
+    assert build_peak < tp.matrix.nbytes + 3.25 * unitary
+
+
+def test_build_logs_its_branch_and_blocks(caplog):
+    # k = 10 kept offsets per axis: 19 blocks touch the edge q = -5 and are
+    # computed, the other 81 pair up by (q', q) <-> (-q', -q) around (0, 0)
+    _, u, ch = _standard_setup()
+    odd = make_gaussian(TorusGeometry(9), 0.2)
+    caplog.set_level(logging.DEBUG, logger="chordnoise.spectral")
+    build_noisy_propagator(ch, u, 2.0)
+    build_noisy_propagator(ch, KickedMap(CAT, 0.02), 2.0)
+    build_noisy_propagator(odd, translation_operator(odd.geometry, (1, 0)), 6.5)  # covers the grid, no edge
+    records = [r.getMessage() for r in caplog.records if r.name == "chordnoise.spectral"]
+    assert len(records) == 3
+    dense, kicked, covering = records
+    for field in ("branch=dense", "dim=100", "blocks_computed=60", "blocks_mirrored=40", "seconds="):
+        assert field in dense
+    for field in ("branch=kicked", "dim=100", "blocks_computed=100", "blocks_mirrored=0", "seconds="):
+        assert field in kicked
+    for field in ("branch=dense", "dim=81", "blocks_computed=41", "blocks_mirrored=40"):
+        assert field in covering
 
 
 def test_sort_by_modulus_ordering():
