@@ -267,6 +267,7 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
             raise ValueError(f"u is not unitary (deviation {uerr:.2e})")
         branch = "dense"
         tp, mirrored = _window(ch, a_coeff, lambda offs, sigma: _bilinear_entries(u, offs, sigma))
+    # a window of k^2 modes has k^2 (q', q) blocks
     _log.debug(
         "build_noisy_propagator branch=%s dim=%d blocks_computed=%d blocks_mirrored=%d seconds=%.4f",
         branch, tp.dim, tp.dim - mirrored, mirrored, time.perf_counter() - start,
