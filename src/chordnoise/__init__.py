@@ -12,7 +12,6 @@ from .phasespace import (
     translation_operator,
     composition_phase,
     wedge,
-    hs_inner,
     chord_transform,
     chord_inverse,
 )

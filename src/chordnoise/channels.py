@@ -42,9 +42,9 @@ class DiagonalChordChannel:
     """Convex mix of the identity and a weighted average over translations.
 
     weights is an (N, N) float table indexed [q, p]; the Kraus weight of
-    T_(q,p) in the eps-part is weights[q, p]/N. sigma is set only by the
-    Gaussian constructor and sets the propagator window; it is None (no
-    window) or finite and positive.
+    T_(q,p) in the eps-part is weights[q, p]/N. sigma is the width of the
+    propagator window (see spectral): None (no window) or finite and
+    positive. make_gaussian sets it to the Gaussian's width.
     """
 
     geometry: TorusGeometry
@@ -76,7 +76,6 @@ class DiagonalChordChannel:
 class ChannelSpectrum:
     """Eigenvalue Sigma(lam) of each chord eigenoperator T_lam, indexed [mu, nu]."""
 
-    geometry: TorusGeometry
     values: np.ndarray
 
     def __post_init__(self):
@@ -180,7 +179,7 @@ def channel_spectrum(ch: DiagonalChordChannel) -> ChannelSpectrum:
     """Sigma(lam) = (1 - eps) + eps * Ctilde(lam) on the full chord grid."""
     ctil = _spectrum_from_weights(ch.weights.astype(complex))
     vals = (1.0 - ch.epsilon) + ch.epsilon * ctil
-    return ChannelSpectrum(ch.geometry, vals)
+    return ChannelSpectrum(vals)
 
 
 def apply_channel(ch: DiagonalChordChannel, rho: np.ndarray) -> np.ndarray:

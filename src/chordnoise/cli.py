@@ -59,20 +59,22 @@ def _write_table(path: str, fmt: str, config: dict, header: list, columns: list)
 
 
 def _read_table(path: str) -> tuple[list, list]:
+    """The header and float rows of a table _write_table wrote; blank csv lines are skipped."""
     with open(path) as fh:
         head = fh.read(1)
         fh.seek(0)
         if head == "{":
             doc = json.load(fh)
-            return doc["columns"], doc["rows"]
-        rows = []
-        columns = None
-        for line in csv.reader(l for l in fh if not l.startswith("#")):
-            if columns is None:
-                columns = line
-            else:
-                rows.append([float(x) for x in line])
-        return columns or [], rows
+            if not (isinstance(doc, dict) and {"columns", "rows"} <= doc.keys()):
+                raise ValueError(f"{path} is a json table without 'columns' and 'rows'")
+            columns, rows = doc["columns"], doc["rows"]
+        else:
+            lines = list(csv.reader(l for l in fh if l.strip() and not l.startswith("#")))
+            columns, rows = (lines[0], lines[1:]) if lines else ([], [])
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(columns):
+            raise ValueError(f"{path}: row {i} has {len(row)} fields, the header {len(columns)}")
+    return columns, [[float(x) for x in row] for row in rows]
 
 
 def _build_channel(args, geom: TorusGeometry):

@@ -37,7 +37,6 @@ __all__ = [
     "translation_operator",
     "composition_phase",
     "wedge",
-    "hs_inner",
     "chord_transform",
     "chord_inverse",
 ]
@@ -108,13 +107,6 @@ def wedge(lam, alpha) -> int:
     mu, nu = _label(lam)
     q, p = _label(alpha)
     return mu * p - nu * q
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(A^dag B)."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 def _shifted_diagonals(a: np.ndarray) -> np.ndarray:

@@ -49,8 +49,7 @@ computed at k=10, 760 of 1444 at k=38. Sigma scales the rows after the
 fill, so the identity needs nothing from the channel. M is formed in one
 preallocated N x N buffer from contiguous slices of U, with no copy of U per
 block. That is O(k N^2) per computed block, O(k^3 N^2) in all: ~11, ~46 and
-~150 ms at the same sizes, and ~64 ms at N=400, dim 100 (~20, ~75, ~250 and
-~120 ms with every block computed from a shifted copy of U).
+~150 ms at the same sizes, and ~64 ms at N=400, dim 100.
 It is the route for a general unitary and the reference for the kicked one,
 which it matches to ~5e-14 at N=100. Against the window evaluated in
 extended precision, the kicked entries are off by 2e-16 and the dense ones
@@ -70,7 +69,7 @@ import numpy as np
 
 from .channels import DiagonalChordChannel, channel_spectrum
 from .dynamics import KickedMap, _check_quantizable, _kick_phase
-from .phasespace import TorusGeometry, _integer
+from .phasespace import _integer
 
 __all__ = [
     "TruncatedPropagator",
@@ -93,9 +92,6 @@ class TruncatedPropagator:
     (q, p) in matrix order: q-major, each axis in centered order, lowest first.
     """
 
-    geometry: TorusGeometry
-    sigma: float
-    a_coeff: float
     kept_modes: np.ndarray
     matrix: np.ndarray
 
@@ -125,14 +121,12 @@ class SpectrumResult:
 _WINDOW_BYTES_BUDGET = 4 * 2**30
 
 
-def _window(ch: DiagonalChordChannel, a_coeff: float, entries) -> tuple[TruncatedPropagator, int]:
-    """The window of the module docstring, filled by entries(offs, sigma).
+def _window(ch: DiagonalChordChannel, a_coeff: float) -> tuple[np.ndarray, np.ndarray]:
+    """The window of the module docstring: its kept offsets and Sigma on its rows.
 
-    entries takes the kept offsets per axis, canonical and in centered order,
-    and the (k, k) table sigma of Sigma(q', p') on the kept rows, and returns
-    the (k, k, k, k) array [q', p', q, p] of Sigma(lam') (1/N) Tr[T_lam'^dag U T_lam U^dag]
-    and the number of its (q', q) blocks filled by the mirror identity, which
-    this passes on beside the propagator.
+    Returns the kept offsets per axis, canonical and in centered order, and
+    the (k, k) table of Sigma(q', p') on the kept rows, after checking a_coeff,
+    the channel's sigma and the _WINDOW_BYTES_BUDGET on the dense matrix.
     """
     if not (np.isfinite(a_coeff) and a_coeff > 0):
         raise ValueError(f"truncation coefficient must be finite and positive, got {a_coeff}")
@@ -148,9 +142,7 @@ def _window(ch: DiagonalChordChannel, a_coeff: float, entries) -> tuple[Truncate
     if dim**2 * 16 > _WINDOW_BYTES_BUDGET:
         raise ValueError(f"a dim-{dim} window needs {dim**2 * 16:,} bytes as a dense complex matrix, "
                          f"over the {_WINDOW_BYTES_BUDGET:,}-byte budget; decrease a_coeff")
-    kept = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
-    blocks, mirrored = entries(offs, channel_spectrum(ch).values[np.ix_(offs, offs)])
-    return TruncatedPropagator(ch.geometry, ch.sigma, a_coeff, kept, blocks.reshape(dim, dim)), mirrored
+    return offs, channel_spectrum(ch).values[np.ix_(offs, offs)]
 
 
 def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, int]:
@@ -244,9 +236,9 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     with about half the blocks filled from their mirror (-q', -q) by
     conjugation; besides the window it holds conj(u) and one N x N buffer.
     The window follows the module convention: dimension min(4 W^2, N^2),
-    kept_modes always in centered q-major order. A channel with sigma None
-    has no window and raises ValueError, as does a window whose dense matrix
-    would pass _WINDOW_BYTES_BUDGET.
+    kept_modes always in centered q-major order. Any other evolution, a
+    channel with sigma None (it has no window) and a window whose dense matrix
+    would pass _WINDOW_BYTES_BUDGET raise ValueError.
 
     Logs one DEBUG record to the "chordnoise.spectral" logger with the branch
     (kicked or dense), dim, the (q', q) blocks computed and mirrored (all k^2
@@ -254,23 +246,29 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     """
     start = time.perf_counter()
     n = ch.geometry.n
-    if isinstance(evolution, KickedMap):
+    kicked = isinstance(evolution, KickedMap)
+    if kicked:
         _check_quantizable(evolution.spec, n)
-        branch = "kicked"
-        tp, mirrored = _window(ch, a_coeff, lambda offs, sigma: (_covariant_entries(evolution, n, offs, sigma), 0))
-    else:
+    elif isinstance(evolution, np.ndarray):
         u = evolution
         if u.shape != (n, n):
             raise ValueError(f"unitary shape {u.shape} does not match N={n}")
         uerr = np.abs(u @ u.conj().T - np.eye(n)).max() if np.isfinite(u).all() else np.inf
         if not uerr <= 1e-10:
             raise ValueError(f"u is not unitary (deviation {uerr:.2e})")
-        branch = "dense"
-        tp, mirrored = _window(ch, a_coeff, lambda offs, sigma: _bilinear_entries(u, offs, sigma))
-    # a window of k^2 modes has k^2 (q', q) blocks
+    else:
+        raise ValueError(f"evolution must be a KickedMap or an N x N array, got {type(evolution).__name__}")
+    offs, sigma = _window(ch, a_coeff)
+    if kicked:
+        blocks, mirrored = _covariant_entries(evolution, n, offs, sigma), 0
+    else:
+        blocks, mirrored = _bilinear_entries(u, offs, sigma)
+    k = len(offs)
+    kept = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
+    tp = TruncatedPropagator(kept, blocks.reshape(k * k, k * k))
     _log.debug(
         "build_noisy_propagator branch=%s dim=%d blocks_computed=%d blocks_mirrored=%d seconds=%.4f",
-        branch, tp.dim, tp.dim - mirrored, mirrored, time.perf_counter() - start,
+        "kicked" if kicked else "dense", k * k, k * k - mirrored, mirrored, time.perf_counter() - start,
     )
     return tp
 

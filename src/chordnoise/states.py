@@ -93,8 +93,8 @@ def wigner_overlap(w1: np.ndarray, w2: np.ndarray) -> float:
 
     With the 1/2N point-operator normalization the full-grid product
     satisfies N * sum_x W1(x) W2(x) = Tr(rho1 rho2); the constant N is pinned
-    by the overlap test against hs_inner. Both tables must be (2N, 2N) with
-    N >= 2, as wigner_function returns them.
+    by a test against Tr(rho1 rho2) taken on the density matrices. Both
+    tables must be (2N, 2N) with N >= 2, as wigner_function returns them.
     """
     if w1.shape != w2.shape:
         raise ValueError(f"Wigner grids of shapes {w1.shape} and {w2.shape} live on different tori")

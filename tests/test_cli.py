@@ -149,6 +149,23 @@ def test_propagator_and_stability_roundtrip(tmp_path, capsys):
     assert float(line.rsplit(":", 1)[1]) < 1e-3
 
 
+def test_stability_reads_blank_lines_and_refuses_malformed_tables(tmp_path, capsys):
+    small = ["--n", "20", "--sigma", "0.3", "--a-coeff", "4.0", "--count", "5"]
+    good, blank, short, bare = (tmp_path / name for name in ("good.csv", "blank.csv", "short.csv", "bare.json"))
+    assert main(["propagator-spectrum", *small, "--out", str(good)]) == 0
+    text = good.read_text()
+    blank.write_text(text + "\r\n\n")
+    assert main(["stability", "--inputs", str(good), str(blank), "--count", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "max deviation over top 5: 0.000000e+00"
+    lines = text.splitlines(keepends=True)
+    short.write_text("".join(lines[:3]) + lines[3].rsplit(",", 1)[0] + "\r\n" + "".join(lines[4:]))
+    bare.write_text(json.dumps({"config": {}, "columns": ["re", "im"]}))
+    for bad in (short, bare):
+        assert main(["stability", "--inputs", str(good), str(bad), "--count", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+
+
 def test_propagator_count_flag(tmp_path):
     out = tmp_path / "few.csv"
     rc = main(

@@ -248,7 +248,7 @@ def test_kept_modes_frozen_in_place():
         tp.kept_modes[0, 0] = 1
     kept = np.argwhere(np.ones((2, 2), dtype=bool))
     mat = np.eye(4, dtype=complex)
-    frozen = TruncatedPropagator(TorusGeometry(10), 0.1, 2.0, kept, mat)
+    frozen = TruncatedPropagator(kept, mat)
     assert frozen.kept_modes is kept and frozen.matrix is mat  # no copy
 
 
@@ -258,6 +258,20 @@ def test_build_rejects_non_unitary_map():
         build_noisy_propagator(ch, 2 * u, 2.0)
     with pytest.raises(ValueError, match="shape"):
         build_noisy_propagator(ch, u[:, :-1], 2.0)
+
+
+@pytest.mark.parametrize("evolution", [CAT, [[1, 0], [0, 1]], None, (CAT, 0.3)])
+def test_build_rejects_an_evolution_of_another_type(evolution):
+    # refused before the channel's 1 MB N x N spectrum is formed
+    ch = make_gaussian(TorusGeometry(256), 0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"evolution must be a KickedMap or an N x N array, got \w+"):
+            build_noisy_propagator(ch, evolution, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -360,7 +374,7 @@ def _normal_propagator(lam, seed=7):
     dim = len(lam)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     kept = np.argwhere(np.ones((10, 10), dtype=bool))[:dim]
-    return TruncatedPropagator(TorusGeometry(10), 0.1, 2.0, kept, (q * lam) @ q.conj().T)
+    return TruncatedPropagator(kept, (q * lam) @ q.conj().T)
 
 
 def test_krylov_recovers_known_spectrum(caplog):

@@ -9,7 +9,6 @@ from chordnoise import (
     cat_state,
     coherent_state,
     density_from_pure,
-    hs_inner,
     wigner_function,
     wigner_overlap,
 )
@@ -131,7 +130,7 @@ def test_wigner_overlap_matches_hs_inner():
         r1 = density_from_pure(psi1 / np.linalg.norm(psi1))
         r2 = density_from_pure(psi2 / np.linalg.norm(psi2))
         ov = wigner_overlap(wigner_function(r1), wigner_function(r2))
-        assert ov == pytest.approx(hs_inner(r1, r2).real, abs=1e-10)
+        assert ov == pytest.approx(np.vdot(r1, r2).real, abs=1e-10)
 
 
 def test_wigner_rejects_non_hermitian():
