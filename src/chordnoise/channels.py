@@ -91,9 +91,9 @@ def make_depolarizing(geom: TorusGeometry, epsilon: float) -> DiagonalChordChann
 def line_points(geom: TorusGeometry, n1: int, n2: int, n3: int) -> np.ndarray:
     """The r points of the line n1*p = n2*q + n3 (mod N) as (r, 2) rows of canonical (q, p)."""
     n1, n2, n3 = (_integer(v, "line coefficient") for v in (n1, n2, n3))
-    if (n1, n2) == (0, 0):
-        raise ValueError("line direction (n1, n2) = (0, 0) does not define a line")
     n = geom.n
+    if (n1 % n, n2 % n) == (0, 0):
+        raise ValueError("line direction (n1, n2) = (0, 0) does not define a line")
     q, p = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     on = (n1 * p - n2 * q - n3) % n == 0
     if not on.any():

@@ -68,13 +68,18 @@ def _read_table(path: str) -> tuple[list, list]:
             if not (isinstance(doc, dict) and {"columns", "rows"} <= doc.keys()):
                 raise ValueError(f"{path} is a json table without 'columns' and 'rows'")
             columns, rows = doc["columns"], doc["rows"]
+            if not isinstance(rows, list) or not all(isinstance(r, list) for r in [columns, *rows]):
+                raise ValueError(f"{path}: json 'columns' and each row must be lists")
         else:
             lines = list(csv.reader(l for l in fh if l.strip() and not l.startswith("#")))
             columns, rows = (lines[0], lines[1:]) if lines else ([], [])
     for i, row in enumerate(rows, 1):
         if len(row) != len(columns):
             raise ValueError(f"{path}: row {i} has {len(row)} fields, the header {len(columns)}")
-    return columns, [[float(x) for x in row] for row in rows]
+    try:
+        return columns, [[float(x) for x in row] for row in rows]
+    except (TypeError, ValueError):
+        raise ValueError(f"{path} holds a value that is not a number") from None
 
 
 def _build_channel(args, geom: TorusGeometry):
@@ -83,11 +88,7 @@ def _build_channel(args, geom: TorusGeometry):
     if args.family == "pdc-line":
         if args.line is None:
             raise ValueError("--line is required for --family pdc-line")
-        try:
-            n1, n2, n3 = (int(x) for x in args.line.split(","))
-        except ValueError:
-            raise ValueError(f"--line must be three comma-separated integers, got {args.line!r}") from None
-        return make_phase_damping_line(geom, (n1, n2, n3), args.epsilon)
+        return make_phase_damping_line(geom, tuple(_numbers(args.line, "--line", int, 3)), args.epsilon)
     if args.sigma is None:
         raise ValueError("--sigma is required for --family gaussian")
     return make_gaussian(geom, args.sigma)
@@ -104,11 +105,22 @@ def _grid_columns(*grids) -> list:
     return [*index.tolist(), *(g.ravel().tolist() for g in grids)]
 
 
-def _parse_centers(raw: str):
-    vals = [float(x) for x in raw.split(",")]
-    if len(vals) != 4:
-        raise ValueError(f"--centers needs 4 comma-separated reals, got {raw!r}")
-    return (vals[0], vals[1]), (vals[2], vals[3])
+def _numbers(raw: str, flag: str, kind: type, count: int) -> list:
+    """The `count` values, each of type kind (int or float), of a comma-separated flag."""
+    try:
+        vals = [kind(x) for x in raw.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != count:
+        noun = "integers" if kind is int else "reals"
+        raise ValueError(f"{flag} must be {count} comma-separated {noun}, got {raw!r}")
+    return vals
+
+
+def _cat_density(args, geom: TorusGeometry) -> np.ndarray:
+    """The density of the cat state whose packet centers --centers gives."""
+    q1, p1, q2, p2 = _numbers(args.centers, "--centers", float, 4)
+    return density_from_pure(cat_state(geom, (q1, p1), (q2, p2)))
 
 
 def cmd_channel_spectrum(args) -> None:
@@ -121,17 +133,14 @@ def cmd_channel_spectrum(args) -> None:
 def cmd_evolve(args) -> None:
     geom = TorusGeometry(args.n)
     ch = _build_channel(args, geom)
-    c1, c2 = _parse_centers(args.centers)
-    rho = density_from_pure(cat_state(geom, c1, c2))
+    rho = _cat_density(args, geom)
     w_in = wigner_function(rho)
     w_out = wigner_function(apply_channel(ch, rho))
     _write_table(args.out, args.format, _config(args), ["jq", "jp", "w_in", "w_out"], _grid_columns(w_in, w_out))
 
 
 def cmd_wigner(args) -> None:
-    geom = TorusGeometry(args.n)
-    c1, c2 = _parse_centers(args.centers)
-    w = wigner_function(density_from_pure(cat_state(geom, c1, c2)))
+    w = wigner_function(_cat_density(args, TorusGeometry(args.n)))
     _write_table(args.out, args.format, _config(args), ["jq", "jp", "w"], _grid_columns(w))
 
 
@@ -139,11 +148,7 @@ def cmd_propagator_spectrum(args) -> None:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0 (0 = all), got {args.count}")
     geom = TorusGeometry(args.n)
-    try:
-        a, b, c, d = (int(x) for x in args.map.split(","))
-    except ValueError:
-        raise ValueError(f"--map must be four comma-separated integers, got {args.map!r}") from None
-    evolution = KickedMap(LinearMapSpec(a, b, c, d), args.k)
+    evolution = KickedMap(LinearMapSpec(*_numbers(args.map, "--map", int, 4)), args.k)
     tp = build_noisy_propagator(make_gaussian(geom, args.sigma), evolution, args.a_coeff)
     count = args.count if args.count else tp.dim
     spec = leading_spectrum(tp, count)

@@ -290,21 +290,19 @@ def sort_by_modulus(vals: np.ndarray) -> np.ndarray:
 def _arnoldi_top(a: np.ndarray, count: int):
     """Top `count` Ritz values of a, grown as leading_spectrum describes.
 
-    Returns (values or None, Krylov dimension m, max residual/|theta|, the
-    reason for giving up or None). The factorization
+    Returns (values or None, the last Krylov dimension built (0 if none),
+    max residual/|theta|, the reason for giving up or None). The factorization
     A V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T is extended, not restarted,
     when m doubles, so each doubling costs only the new steps.
     """
     dim = a.shape[0]
-    m = 2 * count + 1
-    if m > dim / 2:
-        return None, 0, np.nan, f"Krylov dimension {m} would pass dim/2"
+    m, done, worst = 2 * count + 1, 0, np.nan
     v0 = np.array([1, 1j]) @ np.random.default_rng(0).standard_normal((2, dim))
-    basis = np.zeros((m + 1, dim), dtype=complex)  # rows are the Arnoldi vectors
-    hess = np.zeros((m + 1, m), dtype=complex)
-    basis[0] = v0 / np.linalg.norm(v0)
-    done = 0
-    while True:
+    basis = (v0 / np.linalg.norm(v0))[None]  # rows are the Arnoldi vectors
+    hess = np.zeros((1, 0), dtype=complex)
+    while m <= dim / 2:
+        basis = np.pad(basis, ((0, m - done), (0, 0)))
+        hess = np.pad(hess, ((0, m - done), (0, m - done)))
         for j in range(done, m):
             w = a @ basis[j]
             scale = np.linalg.norm(w)
@@ -323,11 +321,8 @@ def _arnoldi_top(a: np.ndarray, count: int):
             worst = float((np.abs(hess[m, m - 1] * y[m - 1, top]) / np.abs(theta[top])).max())
         if worst <= _EPS:
             return theta[top], m, worst, None
-        if 2 * m > dim / 2:
-            return None, m, worst, f"not converged at Krylov dimension {m}"
         m *= 2
-        basis = np.concatenate([basis, np.zeros((m - done, dim), dtype=complex)])
-        hess = np.pad(hess, ((0, m - done), (0, m - done)))
+    return None, done, worst, f"Krylov dimension {m} would pass dim/2"
 
 
 def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
@@ -340,10 +335,10 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     top `count` Ritz values theta, with y its eigenvector of the m x m
     Hessenberg matrix, passes ARPACK's test |h_{m+1,m} y_m| <= eps |theta|.
     The result is deterministic. The dense np.linalg.eigvals is used instead
-    when m would pass dim/2 (always for count near dim), when the top values
-    have not passed by then, or when the Krylov space turns out invariant,
-    since one start vector cannot see repeated eigenvalues; LinAlgError from
-    it propagates as-is.
+    when the next m would pass dim/2 before the top values pass (at once for
+    count near dim), or when the Krylov space turns out invariant, since one
+    start vector cannot see repeated eigenvalues; LinAlgError from it
+    propagates as-is.
 
     The window matrix is strongly non-normal. Past the top few, eigenvalues
     have condition numbers up to ~1e14 and sit at its rounding noise floor

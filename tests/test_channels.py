@@ -94,6 +94,12 @@ def test_line_errors():
         line_points(g, 0, 0, 3)
     with pytest.raises(ValueError, match="no solutions"):
         line_points(g, 2, 2, 1)
+    # a direction that is (0, 0) mod N is no line either, not the whole grid
+    for n1, n2 in ((8, 0), (8, 16)):
+        with pytest.raises(ValueError, match="does not define a line"):
+            line_points(TorusGeometry(8), n1, n2, 0)
+    with pytest.raises(ValueError, match="does not define a line"):
+        make_phase_damping_line(TorusGeometry(8), (8, 0, 0), 0.5)
 
 
 def test_phase_damping_weights():

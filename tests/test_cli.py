@@ -77,12 +77,17 @@ def test_gaussian_requires_sigma(tmp_path, capsys):
 
 
 def test_bad_line_flag(tmp_path, capsys):
-    rc = main(
-        ["channel-spectrum", "--n", "8", "--family", "pdc-line", "--line", "1,2",
-         "--out", str(tmp_path / "x.csv")]
-    )
-    assert rc == 2
-    assert "comma-separated" in capsys.readouterr().err
+    # every comma-separated number flag refuses a malformed list the same way
+    for argv, flag in (
+        (["channel-spectrum", "--n", "8", "--family", "pdc-line", "--line", "1,2"], "--line"),
+        (["propagator-spectrum", "--n", "20", "--sigma", "0.3", "--map", "1,1,1"], "--map"),
+        (["wigner", "--n", "8", "--centers", "0.4,x,0.6,0.75"], "--centers"),
+    ):
+        rc = main([*argv, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "comma-separated" in err
+        assert err.startswith("error: ") and flag in err
 
 
 def test_missing_required_flag(tmp_path):
@@ -160,7 +165,13 @@ def test_stability_reads_blank_lines_and_refuses_malformed_tables(tmp_path, caps
     lines = text.splitlines(keepends=True)
     short.write_text("".join(lines[:3]) + lines[3].rsplit(",", 1)[0] + "\r\n" + "".join(lines[4:]))
     bare.write_text(json.dumps({"config": {}, "columns": ["re", "im"]}))
-    for bad in (short, bare):
+    # json rows that are not a list, a row that is null, a value that is null
+    columns = ["re", "im"]
+    not_a_list, null_row, null_value = (tmp_path / f"{name}.json" for name in ("rows5", "nullrow", "nullvalue"))
+    not_a_list.write_text(json.dumps({"columns": columns, "rows": 5}))
+    null_row.write_text(json.dumps({"columns": columns, "rows": [[1.0, 0.0], None]}))
+    null_value.write_text(json.dumps({"columns": columns, "rows": [[1.0, 0.0], [0.5, None]]}))
+    for bad in (short, bare, not_a_list, null_row, null_value):
         assert main(["stability", "--inputs", str(good), str(bad), "--count", "5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err

@@ -400,6 +400,8 @@ def test_repeated_eigenvalues_keep_their_multiplicity(caplog):
     vals = leading_spectrum(_normal_propagator(lam), 12).eigenvalues
     assert np.abs(vals - lam[:12]).max() < 1e-10
     assert "path=dense" in caplog.records[-1].getMessage()
+    assert "krylov_dim=50 " in caplog.records[-1].getMessage()
+    assert "reason: Krylov dimension 100 would pass dim/2" in caplog.records[-1].getMessage()
 
 
 def test_leading_spectrum_logs_its_path(caplog):
