@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import TorusGeometry, _integer, chord_transform, chord_inverse
+from .phasespace import TorusGeometry, _centered, _integer, chord_transform, chord_inverse
 
 __all__ = [
     "DiagonalChordChannel",
@@ -41,7 +41,8 @@ __all__ = [
 class DiagonalChordChannel:
     """Convex mix of the identity and a weighted average over translations.
 
-    weights is an (N, N) float table indexed [q, p]; the Kraus weight of
+    weights is an (N, N) real table indexed [q, p] (a complex dtype is
+    refused, as its spectrum belongs to no Kraus sum); the Kraus weight of
     T_(q,p) in the eps-part is weights[q, p]/N. sigma is the width of the
     propagator window (see spectral): None (no window) or finite and
     positive. make_gaussian sets it to the Gaussian's width.
@@ -63,8 +64,8 @@ class DiagonalChordChannel:
             raise ValueError(f"sigma must be None or finite and positive, got {self.sigma}")
         if self.weights.shape != (n, n):
             raise ValueError(f"weight table shape {self.weights.shape}, expected {(n, n)}")
-        if not np.isfinite(self.weights).all():
-            raise ValueError("channel weights must be finite")
+        if not (np.isrealobj(self.weights) and np.isfinite(self.weights).all()):
+            raise ValueError("channel weights must be real and finite")
         if not self.weights.min() >= -1e-12:
             raise ValueError(f"negative channel weight {self.weights.min()}")
         total = float(self.weights.sum())
@@ -138,15 +139,9 @@ def make_gaussian(geom: TorusGeometry, sigma: float) -> DiagonalChordChannel:
     return DiagonalChordChannel(geom, 1.0, w, sigma=sigma)
 
 
-def _centered(n: int) -> np.ndarray:
-    """Representatives of 0..N-1 in [-N/2, N/2)."""
-    k = np.arange(n)
-    return (k + n // 2) % n - n // 2
-
-
 def _gaussian_factor(n: int, sigma: float) -> np.ndarray:
     """f = fft(g)/sqrt(N) for g(mu) = exp(-2 pi^2 sigma^2 mu_c^2); real, as g is even."""
-    g = np.exp(-2.0 * np.pi**2 * sigma**2 * _centered(n) ** 2)
+    g = np.exp(-2.0 * np.pi**2 * sigma**2 * _centered(np.arange(n), n) ** 2)
     return np.fft.fft(g).real / np.sqrt(n)
 
 
@@ -170,16 +165,11 @@ def _smallest_gaussian_sigma(n: int, sigma: float) -> float:
     return hi
 
 
-def _spectrum_from_weights(w: np.ndarray) -> np.ndarray:
-    """Ctilde[mu, nu] = (1/N) sum_{q,p} w[q,p] e^{i(2pi/N)(mu p - nu q)}."""
-    return np.fft.fft(np.fft.ifft(w, axis=1), axis=0).T.copy()
-
-
 def channel_spectrum(ch: DiagonalChordChannel) -> ChannelSpectrum:
     """Sigma(lam) = (1 - eps) + eps * Ctilde(lam) on the full chord grid."""
-    ctil = _spectrum_from_weights(ch.weights.astype(complex))
-    vals = (1.0 - ch.epsilon) + ch.epsilon * ctil
-    return ChannelSpectrum(vals)
+    # Ctilde[mu, nu]: an inverse FFT of w[q, p] over p, an FFT over q, then transposed
+    ctil = np.fft.fft(np.fft.ifft(ch.weights.astype(complex), axis=1), axis=0).T
+    return ChannelSpectrum((1.0 - ch.epsilon) + ch.epsilon * ctil)
 
 
 def apply_channel(ch: DiagonalChordChannel, rho: np.ndarray) -> np.ndarray:

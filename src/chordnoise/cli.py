@@ -83,6 +83,12 @@ def _read_table(path: str) -> tuple[list, list]:
 
 
 def _build_channel(args, geom: TorusGeometry):
+    """The channel of the --family flags; a flag that the family does not read is refused."""
+    for flag, value, family in (("--line", args.line, "pdc-line"), ("--sigma", args.sigma, "gaussian")):
+        if value is not None and args.family != family:
+            raise ValueError(f"{flag} is read only by --family {family}, not by --family {args.family}")
+    if args.family == "gaussian" and args.epsilon != 1:
+        raise ValueError(f"--family gaussian has epsilon 1, so --epsilon {args.epsilon} is not read")
     if args.family == "depolarizing":
         return make_depolarizing(geom, args.epsilon)
     if args.family == "pdc-line":
@@ -236,11 +242,14 @@ def _expand_config(argv: list) -> list:
     override them. Keys may be flag names or argparse dests ('a_coeff'), and
     a list gives one argument per element. An output's own header replays:
     its 'command' must name the subcommand being run, and its 'dim' (an
-    output, not a flag) and null values (flags left unset) are skipped.
+    output, not a flag) and null values (flags left unset) are skipped. A
+    second --config, typed or as a 'config' key in the file, is refused.
     """
     argv = [t for tok in argv for t in (tok.split("=", 1) if tok.startswith("--config=") else [tok])]
     if "--config" not in argv:
         return argv
+    if argv.count("--config") > 1:
+        raise ValueError("--config may be given once")
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise ValueError("--config needs a file path")
@@ -248,6 +257,8 @@ def _expand_config(argv: list) -> list:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"--config {argv[i + 1]} must hold a json object of flags")
+    if "config" in doc:
+        raise ValueError(f"--config {argv[i + 1]} names another config file; --config may be given once")
     rest = argv[:i] + argv[i + 2 :]
     if "command" in doc and rest[:1] != [doc["command"]]:
         raise ValueError(f"--config {argv[i + 1]} is for {doc['command']!r}, not {' '.join(rest[:1])!r}")

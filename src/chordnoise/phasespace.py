@@ -94,12 +94,18 @@ def composition_phase(geom: TorusGeometry, a1, a2) -> complex:
     q1, p1 = _label(a1)
     q2, p2 = _label(a2)
     triangle = np.exp(1j * np.pi * (p1 * q2 - q1 * p2) / n)
-    qs, ps = q1 + q2, p1 + p2
-    qr, pr = qs % n, ps % n
-    k, j = (qs - qr) // n, (ps - pr) // n
-    # from T_(q+Nk, p+Nj) = (-1)^(p*k + j*q + N*j*k) T_(q,p)
-    sign = -1.0 if (pr * k + j * qr + n * j * k) % 2 else 1.0
-    return complex(sign * triangle)
+    return complex(_reduction_sign(q1 + q2, p1 + p2, n) * triangle)
+
+
+def _reduction_sign(q, p, n: int):
+    """s = (-1)^(p_r k + j q_r + N j k) with T_(q_r+Nk, p_r+Nj) = s T_(q_r,p_r), elementwise on arrays."""
+    (k, qr), (j, pr) = divmod(q, n), divmod(p, n)
+    return 1 - 2 * ((pr * k + j * qr + n * j * k) % 2)
+
+
+def _centered(k, n: int):
+    """The representative of label k (an integer or an array) in [-N/2, N/2)."""
+    return (k + n // 2) % n - n // 2
 
 
 def wedge(lam, alpha) -> int:

@@ -18,13 +18,14 @@ of Garcia-Mata, Saraceno & Spina, PRL 91 (2003) 064101):
     K T_(q,p) K^dag = T_(q,p) sum_m c_m(q) T_(0,m),
     c(q) = fft(e^{i(phi(n+q) - phi(n))}) / N, one length-N FFT per kept q;
     T_(q,p) T_(0,m) = e^{-i pi q m / N} T_(q,p+m) and U_M T_mu U_M^dag = T_{M mu}
-on unreduced integer labels. So column (q, p) holds c_m(q) e^{-i pi q m/N}
-(-1)^{j Q'} at row (Q', P' mod N) = M(q, p+m), j = (P' - P' mod N)/N, with
-the same integer m in the phase and the label. Each kept target row fixes m:
-from Q' when |b| = 1, from P' for a shear. That is k candidates per column
-for k kept offsets per axis, O(k^3 + k N log N) in all. At N=100 it takes
-~1 ms at dim 196, ~2.5 ms at dim 576 and ~12 ms at dim 1444 (best of 5 on a
-2-core machine).
+on unreduced integer labels. One rule fills the window for every map: each
+kept target row fixes m, through its P' for a shear (Q' = q) and its Q' for
+|b| = 1, and column (q, p) holds c_m(q) e^{-i pi q m/N} s at row
+(Q' mod N, P' mod N), where (Q', P') = M(q, p+m) for that m and s is the sign
+of reducing T_(Q',P') (phasespace._reduction_sign). That is k candidates per
+column for k kept offsets per axis, O(k^3 + k N log N) in all. At N=100 it
+takes ~1 ms at dim 196, ~2.5 ms at dim 576 and ~12 ms at dim 1444 (best of 5
+on a 2-core machine).
 
 A dense unitary U is read entry by entry. Each T_lam has one nonzero per
 column, so for canonical labels lam' = (q', p'), lam = (q, p) the trace is a
@@ -37,9 +38,8 @@ unitary or not, the entries E(lam', lam) = (1/N) Tr[T_lam'^dag U T_lam U^dag]
 obey the mirror identity
     E(m(lam'), m(lam)) = s(lam') s(lam) conj E(lam', lam),  m(lam) = (-lam) mod N,
 with s(q, p) = (-1)^(p [q>0] + q [p>0] + N [q>0][p>0]) the sign of reducing
-(-q, -p) into [0, N), from T_(q+N,p) = (-1)^p T_(q,p) and
-T_(q,p+N) = (-1)^q T_(q,p). On the bilinear form, which is N-periodic in all
-four labels, it reads
+T_(-q,-p) (phasespace._reduction_sign). On the bilinear form, which is
+N-periodic in all four labels, it reads
     [F M F^dag](-q', -q)_{-p', -p} = e^{2 pi i (p' q' - p q)/N} conj [F M F^dag](q', q)_{p', p}.
 So each computed block is evaluated on the symmetric momenta [-W, W], one
 more than the kept [-W, W), and its conjugate fills block (-q', -q). The
@@ -69,7 +69,7 @@ import numpy as np
 
 from .channels import DiagonalChordChannel, channel_spectrum
 from .dynamics import KickedMap, _check_quantizable, _kick_phase
-from .phasespace import _integer
+from .phasespace import _centered, _integer, _reduction_sign
 
 __all__ = [
     "TruncatedPropagator",
@@ -155,7 +155,7 @@ def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> tup
     """
     u = np.ascontiguousarray(u)
     n, k = len(u), len(offs)
-    cen = ((offs + n // 2) % n - n // 2).tolist()  # centered, ascending
+    cen = _centered(offs, n).tolist()  # ascending
     e = max(-cen[0], cen[-1])
     keep = slice(cen[0] + e, cen[0] + e + k)  # the kept momenta among [-E, E]
     f = np.exp(-2j * np.pi * np.outer(np.arange(-e, e + 1), np.arange(n)) / n)
@@ -199,7 +199,7 @@ def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> tup
 
 
 def _covariant_entries(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Window entries of U_M K from covariance: k candidate rows per column, no u formed."""
+    """Window entries of U_M K by the module docstring's rule: k candidate rows per column, no u formed."""
     m = km.spec
     k = len(offs)
     phi = _kick_phase(n, km.kick)
@@ -208,20 +208,16 @@ def _covariant_entries(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarra
     row[offs] = np.arange(k)
     iq, ip, it = np.indices((k, k, k)).reshape(3, -1)  # column (q, p), candidate target it
     q, p, target = offs[iq], offs[ip], offs[it]
-    if m.b == 0:  # shear: Q' = q, solve P' = c q + p + m for the kept P'
-        shift = target - m.c * q - p
-        rq, rp, sign = iq, it, 1
-    else:  # |b| = 1: solve Q' = a q + b (p + m) for the kept Q', then reduce P'
-        shift = m.b * (target - m.a * q) - p
-        pp = m.c * q + m.d * (p + shift)
-        rq, rp = it, row[pp % n]
-        sign = 1 - 2 * ((pp // n) * target % 2)
+    # m makes the image's P' (shear, where Q' = q) or Q' (|b| = 1) the kept target, so Q' is canonical
+    shift = target - m.c * q - p if m.b == 0 else m.b * (target - m.a * q) - p
+    qq, pp = m.a * q + m.b * (p + shift), m.c * q + m.d * (p + shift)
+    rq, rp = row[qq], row[pp % n]
+    hit = np.flatnonzero(rp >= 0)  # candidates whose image row is kept
+    iq, ip, q, shift, qq, pp, rq, rp = (x[hit] for x in (iq, ip, q, shift, qq, pp, rq, rp))
     # e^{-i pi q m / N} depends on q m mod 2N only
-    vals = coef[iq, shift % n] * np.exp(-1j * np.pi * (q * shift % (2 * n)) / n) * sign
-    hit = rp >= 0
-    rq, rp = rq[hit], rp[hit]
+    vals = coef[iq, shift % n] * np.exp(-1j * np.pi * (q * shift % (2 * n)) / n) * _reduction_sign(qq, pp, n)
     blocks = np.zeros((k, k, k, k), dtype=complex)
-    blocks[rq, rp, iq[hit], ip[hit]] = sigma[rq, rp] * vals[hit]
+    blocks[rq, rp, iq, ip] = sigma[rq, rp] * vals
     return blocks
 
 
@@ -229,12 +225,14 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     """Windowed matrix of (noise after map) on chord coefficients.
 
     evolution is a KickedMap or a dense N x N unitary u. A KickedMap's window
-    comes from covariance alone, with no u formed: O(k^3 + k N log N) for k
-    kept offsets per axis. Its map must pass quantize_linear_map's rule, with
-    the same ValueError. A dense u must be finite and unitary; its entries
-    come from the bilinear form, O(k N^2) per (q', q) block, O(k^3 N^2) in all,
-    with about half the blocks filled from their mirror (-q', -q) by
-    conjugation; besides the window it holds conj(u) and one N x N buffer.
+    comes from covariance alone, with no u formed: each kept row fixes the
+    kick's shift m, then the image M(q, p + m), its row and its reduction sign
+    are formed, O(k^3 + k N log N) for k kept offsets per axis. Its map must
+    pass quantize_linear_map's rule, with the same ValueError. A dense u must
+    be finite and unitary; its entries come from the bilinear form, O(k N^2)
+    per (q', q) block, O(k^3 N^2) in all, with about half the blocks filled
+    from their mirror (-q', -q) by conjugation; besides the window it holds
+    conj(u) and one N x N buffer.
     The window follows the module convention: dimension min(4 W^2, N^2),
     kept_modes always in centered q-major order. Any other evolution, a
     channel with sigma None (it has no window) and a window whose dense matrix

@@ -52,6 +52,12 @@ def test_channel_validation():
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
         DiagonalChordChannel(g, 0.5, bad)
+    # a complex table sums to N yet its spectrum belongs to no Kraus sum
+    lopsided = np.full((4, 4), 0.25, dtype=complex)
+    lopsided[0, 1] += 0.5j
+    lopsided[1, 0] -= 0.5j
+    with pytest.raises(ValueError, match="finite"):
+        DiagonalChordChannel(g, 0.5, lopsided)
 
 
 def test_depolarizing_eps0_is_identity():

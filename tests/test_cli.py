@@ -76,6 +76,38 @@ def test_gaussian_requires_sigma(tmp_path, capsys):
     assert "--sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, flags, named", [
+    ("depolarizing", ["--line", "1,2,3"], "--line"),
+    ("gaussian", ["--sigma", "0.3", "--line", "0,1,0"], "--line"),
+    ("depolarizing", ["--sigma", "0.3"], "--sigma"),
+    ("pdc-line", ["--line", "0,1,0", "--sigma", "0.3"], "--sigma"),
+    ("gaussian", ["--sigma", "0.2", "--epsilon", "0.5"], "--epsilon"),
+])
+def test_channel_flag_the_family_does_not_read(tmp_path, capsys, family, flags, named):
+    out = tmp_path / "x.csv"
+    assert main(["channel-spectrum", "--n", "8", "--family", family, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+    # the gaussian family's own epsilon, 1, is accepted
+    if family == "gaussian":
+        assert main(["channel-spectrum", "--n", "8", "--family", family, "--sigma", "0.2",
+                     "--epsilon", "1", "--out", str(out)]) == 0
+
+
+def test_second_config_refused(tmp_path, capsys):
+    c1, c2, out = tmp_path / "c1.json", tmp_path / "c2.json", tmp_path / "r.csv"
+    c1.write_text(json.dumps({"n": 8, "family": "depolarizing", "epsilon": 0.4}))
+    c2.write_text(json.dumps({"epsilon": 0.2}))
+    for argv in (["--config", str(c1), "--config", str(c2)], ["--config", str(c1), f"--config={c2}"]):
+        assert main(["channel-spectrum", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --config")
+    c1.write_text(json.dumps({"n": 8, "family": "depolarizing", "config": str(c2)}))
+    assert main(["channel-spectrum", "--config", str(c1), "--out", str(out)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_line_flag(tmp_path, capsys):
     # every comma-separated number flag refuses a malformed list the same way
     for argv, flag in (

@@ -15,6 +15,7 @@ from chordnoise import (
     translation_operator,
     wedge,
 )
+from chordnoise.phasespace import _reduction_sign
 
 
 def test_geometry_validation():
@@ -50,6 +51,16 @@ def test_label_shift_signs():
         t = translation_operator(g, (q, p))
         assert_allclose(translation_operator(g, (q + 6, p)), (-1) ** p * t, atol=1e-14)
         assert_allclose(translation_operator(g, (q, p + 6)), (-1) ** q * t, atol=1e-14)
+    # _reduction_sign gives that factor for integer arrays of unreduced labels, k and j in -2..2
+    for n in (5, 6):
+        g = TorusGeometry(n)
+        qr, pr, k, j = np.indices((n, n, 5, 5)).reshape(4, -1)
+        q, p = qr + n * (k - 2), pr + n * (j - 2)
+        signs = _reduction_sign(q, p, n)
+        assert signs.shape == q.shape and set(np.unique(signs)) == {-1, 1}
+        for qi, pi, s in zip(q, p, signs):
+            reduced = translation_operator(g, (qi % n, pi % n))
+            assert_allclose(translation_operator(g, (qi, pi)), s * reduced, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [4, 5])
