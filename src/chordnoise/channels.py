@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import TorusGeometry, _centered, _integer, chord_transform, chord_inverse
+from .phasespace import TorusGeometry, _centered, _integer, _real, chord_transform, chord_inverse
 
 __all__ = [
     "DiagonalChordChannel",
@@ -42,10 +42,12 @@ class DiagonalChordChannel:
     """Convex mix of the identity and a weighted average over translations.
 
     weights is an (N, N) real table indexed [q, p] (a complex dtype is
-    refused, as its spectrum belongs to no Kraus sum); the Kraus weight of
-    T_(q,p) in the eps-part is weights[q, p]/N. sigma is the width of the
-    propagator window (see spectral): None (no window) or finite and
-    positive. make_gaussian sets it to the Gaussian's width.
+    refused, as its spectrum belongs to no Kraus sum, and so are string and
+    object dtypes); it is stored as a read-only float64 copy. The Kraus
+    weight of T_(q,p) in the eps-part is weights[q, p]/N. sigma is the width
+    of the propagator window (see spectral): None (no window) or finite and
+    positive. make_gaussian sets it to the Gaussian's width. epsilon and
+    sigma are stored as Python floats; a non-real one raises ValueError.
     """
 
     geometry: TorusGeometry
@@ -55,17 +57,20 @@ class DiagonalChordChannel:
 
     def __post_init__(self):
         n = self.geometry.n
-        weights = np.array(self.weights)  # a copy, so the caller's array stays writeable
+        weights = np.asarray(_real(self.weights, "channel weights"))  # a copy, so the caller's array stays writeable
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
+        if self.sigma is not None:
+            object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be None or finite and positive, got {self.sigma}")
         if self.weights.shape != (n, n):
             raise ValueError(f"weight table shape {self.weights.shape}, expected {(n, n)}")
-        if not (np.isrealobj(self.weights) and np.isfinite(self.weights).all()):
-            raise ValueError("channel weights must be real and finite")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("channel weights must be finite")
         if not self.weights.min() >= -1e-12:
             raise ValueError(f"negative channel weight {self.weights.min()}")
         total = float(self.weights.sum())
@@ -124,6 +129,7 @@ def make_gaussian(geom: TorusGeometry, sigma: float) -> DiagonalChordChannel:
     negative, and the error names the smallest admissible sigma above it for
     that N.
     """
+    sigma = _real(sigma, "sigma")
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
     n = geom.n
@@ -140,9 +146,15 @@ def make_gaussian(geom: TorusGeometry, sigma: float) -> DiagonalChordChannel:
 
 
 def _gaussian_factor(n: int, sigma: float) -> np.ndarray:
-    """f = fft(g)/sqrt(N) for g(mu) = exp(-2 pi^2 sigma^2 mu_c^2); real, as g is even."""
+    """f = fft(g)/sqrt(N) for g(mu) = exp(-2 pi^2 sigma^2 mu_c^2); real and even, as g is.
+
+    The FFT leaves f even only up to rounding; averaging f with its mirror
+    f[-k mod N] makes f[k] == f[N - k] bit for bit, so the weights f f^T are
+    exactly even and channel_spectrum returns them a real spectrum.
+    """
     g = np.exp(-2.0 * np.pi**2 * sigma**2 * _centered(np.arange(n), n) ** 2)
-    return np.fft.fft(g).real / np.sqrt(n)
+    f = np.fft.fft(g).real / np.sqrt(n)
+    return (f + np.roll(f[::-1], 1)) / 2
 
 
 def _weight_floor(f: np.ndarray) -> float:
@@ -166,10 +178,21 @@ def _smallest_gaussian_sigma(n: int, sigma: float) -> float:
 
 
 def channel_spectrum(ch: DiagonalChordChannel) -> ChannelSpectrum:
-    """Sigma(lam) = (1 - eps) + eps * Ctilde(lam) on the full chord grid."""
+    """Sigma(lam) = (1 - eps) + eps * Ctilde(lam) on the full chord grid.
+
+    float64 when the weights are exactly even, w(alpha) == w(-alpha) with
+    -alpha taken mod N, as they are for the depolarizing, Gaussian and
+    through-origin line channels: Ctilde is then a cosine sum, and the FFT's
+    real part is returned (its imaginary part is rounding). complex128
+    otherwise.
+    """
+    w = ch.weights
     # Ctilde[mu, nu]: an inverse FFT of w[q, p] over p, an FFT over q, then transposed
-    ctil = np.fft.fft(np.fft.ifft(ch.weights.astype(complex), axis=1), axis=0).T
-    return ChannelSpectrum((1.0 - ch.epsilon) + ch.epsilon * ctil)
+    ctil = np.fft.fft(np.fft.ifft(w.astype(complex), axis=1), axis=0).T
+    # w[-q, -p] == w[q, p] on reversed views, row 0 and column 0 being their own mirrors
+    even = (np.array_equal(w[1:, 1:], w[:0:-1, :0:-1]) and np.array_equal(w[0, 1:], w[0, :0:-1])
+            and np.array_equal(w[1:, 0], w[:0:-1, 0]))
+    return ChannelSpectrum((1.0 - ch.epsilon) + ch.epsilon * (ctil.real if even else ctil))
 
 
 def apply_channel(ch: DiagonalChordChannel, rho: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .phasespace import TorusGeometry, _integer, _label
+from .phasespace import TorusGeometry, _integer, _label, _real
 
 __all__ = [
     "LinearMapSpec",
@@ -117,9 +117,10 @@ def quantize_linear_map(geom: TorusGeometry, m: LinearMapSpec) -> np.ndarray:
 
 
 def _finite_kick(k) -> float:
+    k = _real(k, "kick strength")
     if not np.isfinite(k):
         raise ValueError(f"kick strength must be finite, got {k}")
-    return float(k)
+    return k
 
 
 def _kick_phase(n: int, k: float) -> np.ndarray:

@@ -50,6 +50,19 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _real(value, what: str):
+    """value as a Python float, or an array as float64 (a copy), else ValueError naming it.
+
+    Only real numbers pass (bool, integer and float dtypes, numpy's included);
+    a string, complex or object value is refused, not converted.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        shown = repr(value) if arr.ndim == 0 else f"dtype {arr.dtype}"
+        raise ValueError(f"{what} must be real, got {shown}")
+    return float(arr) if arr.ndim == 0 else arr.astype(float)
+
+
 def _label(alpha) -> tuple[int, int]:
     """A chord label (q, p) as two Python ints, else ValueError."""
     q, p = alpha

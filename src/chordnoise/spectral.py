@@ -25,7 +25,11 @@ kept target row fixes m, through its P' for a shear (Q' = q) and its Q' for
 of reducing T_(Q',P') (phasespace._reduction_sign). That is k candidates per
 column for k kept offsets per axis, O(k^3 + k N log N) in all. At N=100 it
 takes ~1 ms at dim 196, ~2.5 ms at dim 576 and ~12 ms at dim 1444 (best of 5
-on a 2-core machine).
+on a 2-core machine). Every such entry is real: phi is even, so the
+substitution n -> -n - q gives conj c_m(q) = e^{-2 pi i q m/N} c_m(q), and
+c_m(q) e^{-i pi q m/N} is real. The window is therefore stored in Sigma's
+dtype, float64 for the exactly even weights of make_gaussian (see
+channels.channel_spectrum), complex128 for a channel whose Sigma is not real.
 
 A dense unitary U is read entry by entry. Each T_lam has one nonzero per
 column, so for canonical labels lam' = (q', p'), lam = (q, p) the trace is a
@@ -53,10 +57,11 @@ block. That is O(k N^2) per computed block, O(k^3 N^2) in all: ~11, ~46 and
 It is the route for a general unitary and the reference for the kicked one,
 which it matches to ~5e-14 at N=100. Against the window evaluated in
 extended precision, the kicked entries are off by 2e-16 and the dense ones
-by 4e-14.
+by 4e-14. Its window is always complex128.
 
 The leading eigenvalues come from an Arnoldi iteration on the window matrix,
-with the dense eigensolver as fallback (see leading_spectrum).
+in the window's own dtype, with the dense eigensolver as fallback (see
+leading_spectrum).
 """
 
 from __future__ import annotations
@@ -90,6 +95,8 @@ class TruncatedPropagator:
 
     kept_modes is a read-only (dim, 2) integer array of canonical chord labels
     (q, p) in matrix order: q-major, each axis in centered order, lowest first.
+    matrix is read-only too: float64 for a KickedMap under a channel with a
+    real Sigma, complex128 otherwise (see the module docstring).
     """
 
     kept_modes: np.ndarray
@@ -216,8 +223,9 @@ def _covariant_entries(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarra
     iq, ip, q, shift, qq, pp, rq, rp = (x[hit] for x in (iq, ip, q, shift, qq, pp, rq, rp))
     # e^{-i pi q m / N} depends on q m mod 2N only
     vals = coef[iq, shift % n] * np.exp(-1j * np.pi * (q * shift % (2 * n)) / n) * _reduction_sign(qq, pp, n)
-    blocks = np.zeros((k, k, k, k), dtype=complex)
-    blocks[rq, rp, iq, ip] = sigma[rq, rp] * vals
+    # vals is real up to rounding (module docstring), so the window has Sigma's dtype
+    blocks = np.zeros((k, k, k, k), dtype=sigma.dtype)
+    blocks[rq, rp, iq, ip] = sigma[rq, rp] * vals.real
     return blocks
 
 
@@ -227,7 +235,8 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     evolution is a KickedMap or a dense N x N unitary u. A KickedMap's window
     comes from covariance alone, with no u formed: each kept row fixes the
     kick's shift m, then the image M(q, p + m), its row and its reduction sign
-    are formed, O(k^3 + k N log N) for k kept offsets per axis. Its map must
+    are formed, O(k^3 + k N log N) for k kept offsets per axis; the window
+    has Sigma's dtype, float64 for a Gaussian channel. Its map must
     pass quantize_linear_map's rule, with the same ValueError. A dense u must
     be finite and unitary; its entries come from the bilinear form, O(k N^2)
     per (q', q) block, O(k^3 N^2) in all, with about half the blocks filled
@@ -295,9 +304,10 @@ def _arnoldi_top(a: np.ndarray, count: int):
     """
     dim = a.shape[0]
     m, done, worst = 2 * count + 1, 0, np.nan
-    v0 = np.array([1, 1j]) @ np.random.default_rng(0).standard_normal((2, dim))
+    g = np.random.default_rng(0).standard_normal((2, dim))
+    v0 = g[0] if np.isrealobj(a) else g[0] + 1j * g[1]
     basis = (v0 / np.linalg.norm(v0))[None]  # rows are the Arnoldi vectors
-    hess = np.zeros((1, 0), dtype=complex)
+    hess = np.zeros((1, 0), dtype=basis.dtype)
     while m <= dim / 2:
         basis = np.pad(basis, ((0, m - done), (0, 0)))
         hess = np.pad(hess, ((0, m - done), (0, m - done)))
@@ -326,22 +336,32 @@ def _arnoldi_top(a: np.ndarray, count: int):
 def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     """Top `count` eigenvalues of the windowed matrix, in sort_by_modulus order.
 
-    Arnoldi iteration (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998):
-    from a fixed-seed complex Gaussian start vector, orthogonalized by
+    Arnoldi iteration (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998)
+    in the matrix's own dtype: from a fixed-seed Gaussian start vector, g[0]
+    for a real matrix and g[0] + 1j g[1] for a complex one, orthogonalized by
     classical Gram-Schmidt applied twice per step, the Krylov dimension m
     starts at 2 count + 1 (ARPACK's default ncv) and doubles until each of the
     top `count` Ritz values theta, with y its eigenvector of the m x m
     Hessenberg matrix, passes ARPACK's test |h_{m+1,m} y_m| <= eps |theta|.
-    The result is deterministic. The dense np.linalg.eigvals is used instead
-    when the next m would pass dim/2 before the top values pass (at once for
-    count near dim), or when the Krylov space turns out invariant, since one
-    start vector cannot see repeated eigenvalues; LinAlgError from it
-    propagates as-is.
+    The result is deterministic and always complex128. The dense
+    np.linalg.eigvals is used instead when the next m would pass dim/2 before
+    the top values pass (at once for count near dim), or when the Krylov
+    space turns out invariant, since one start vector cannot see repeated
+    eigenvalues; LinAlgError from it propagates as-is.
+
+    On a real matrix both paths keep conjugate pairs exact, with equal
+    moduli, so sort_by_modulus puts the member with positive imaginary part
+    first on both, and a count that splits a pair keeps the same member. The
+    real iteration also converges sooner: on the float64 paper windows (N=100,
+    sigma=0.063, cat map 1,1,1,2, k=0.02, dims 196 and 576) m stops at 41,
+    where the complex one needed 82 at dim 576.
 
     The window matrix is strongly non-normal. Past the top few, eigenvalues
     have condition numbers up to ~1e14 and sit at its rounding noise floor
-    (Trefethen & Embree, Spectra and Pseudospectra, 2005): the two paths, or
-    two windows, agree on them only to about 1e-3, not to eps.
+    (Trefethen & Embree, Spectra and Pseudospectra, 2005). On those float64
+    windows the two paths agree on the top 3 to 7e-11 (dim 196) and 2e-12
+    (dim 576), and on the top 20 only to 8e-5 and 2e-4; at k=0.2 and k=1.0
+    (dim 576) the top 20 agree to 1e-7 and 3e-15.
 
     Logs one DEBUG record to the "chordnoise.spectral" logger with dim,
     count, the path, the final Krylov dimension, the max residual/|theta|
@@ -353,6 +373,7 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     vals, m, worst, reason = _arnoldi_top(tp.matrix, count)
     if reason is not None:
         vals = sort_by_modulus(np.linalg.eigvals(tp.matrix))[:count]
+    vals = vals.astype(complex, copy=False)  # eig and eigvals give float64 when every value is real
     _log.debug(
         "leading_spectrum dim=%d count=%d path=%s krylov_dim=%d max_rel_residual=%.2e%s",
         tp.dim, count, "krylov" if reason is None else "dense", m, worst,

@@ -56,7 +56,7 @@ def test_channel_validation():
     lopsided = np.full((4, 4), 0.25, dtype=complex)
     lopsided[0, 1] += 0.5j
     lopsided[1, 0] -= 0.5j
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="channel weights must be real, got dtype complex128"):
         DiagonalChordChannel(g, 0.5, lopsided)
 
 
@@ -198,6 +198,31 @@ def test_gaussian_weights_and_spectrum():
     mu = (np.arange(100) + 50) % 100 - 50
     target = np.exp(-2 * np.pi**2 * 0.063**2 * (mu[:, None] ** 2 + mu[None, :] ** 2))
     assert_allclose(vals.real, target, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, sigma", [(17, 0.0856), (100, 0.063), (100, 0.04), (128, 0.02), (400, 0.063)])
+def test_gaussian_weights_are_exactly_even(n, sigma):
+    # w[-q, -p] == w[q, p] bit for bit, which makes channel_spectrum real
+    w = make_gaussian(TorusGeometry(n), sigma).weights
+    neg = -np.arange(n) % n
+    assert np.array_equal(w, w[np.ix_(neg, neg)])
+
+
+def test_channel_spectrum_is_real_for_even_weights():
+    g = TorusGeometry(16)
+    rng = np.random.default_rng(2)
+    lopsided = rng.random((16, 16))
+    channels = {
+        "gaussian": make_gaussian(g, 0.1),
+        "depolarizing": make_depolarizing(g, 0.3),
+        "pdc-line": make_phase_damping_line(g, (1, 2, 0), 0.55),  # through the origin
+        "random": DiagonalChordChannel(g, 0.4, lopsided * 16 / lopsided.sum()),
+    }
+    for name, ch in channels.items():
+        vals = channel_spectrum(ch).values
+        assert vals.dtype == (np.complex128 if name == "random" else np.float64), name
+        full = np.fft.fft(np.fft.ifft(ch.weights.astype(complex), axis=1), axis=0).T
+        assert np.abs(vals - ((1 - ch.epsilon) + ch.epsilon * full)).max() <= 1e-15, name
 
 
 def test_gaussian_wide_limit_is_depolarizing():

@@ -7,10 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chordnoise import (
+    DiagonalChordChannel,
+    KickedMap,
     LinearMapSpec,
     TorusGeometry,
     composition_phase,
     line_points,
+    make_depolarizing,
+    make_gaussian,
     make_phase_damping_line,
     nonlinear_kick,
     quantize_linear_map,
@@ -40,6 +44,35 @@ def test_map_spec_validation():
 def test_non_integer_map_and_line_refused(build):
     with pytest.raises(ValueError, match="must be an integer"):
         build()
+
+
+_G4 = TorusGeometry(4)
+_W4 = np.full((4, 4), 0.25)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DiagonalChordChannel(_G4, "0.5", _W4),
+        lambda: make_depolarizing(_G4, "0.5"),
+        lambda: make_gaussian(_G4, "0.5"),
+        lambda: DiagonalChordChannel(_G4, 0.5, _W4, "0.1"),
+        lambda: DiagonalChordChannel(_G4, 0.5, _W4.astype(object)),
+        lambda: KickedMap(CAT, "0.1"),
+        lambda: make_phase_damping_line(_G4, (0, 1, 0), "0.3"),
+    ],
+)
+def test_non_real_numbers_refused(build):
+    # each of these once failed with a TypeError from a comparison or np.isfinite
+    with pytest.raises(ValueError, match="must be real, got"):
+        build()
+
+
+def test_real_numbers_may_be_numpy_scalars():
+    ch = DiagonalChordChannel(_G4, np.float32(0.5), _W4.astype(np.float32), np.int64(1))
+    assert (ch.epsilon, ch.sigma) == (0.5, 1.0) and type(ch.epsilon) is float and type(ch.sigma) is float
+    assert ch.weights.dtype == np.float64
+    assert KickedMap(CAT, np.float16(0.5)).kick == 0.5
 
 
 def test_integer_entries_may_be_numpy_ints():

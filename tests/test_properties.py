@@ -1,8 +1,8 @@
 """Property tests over random inputs, N <= 12: the Wigner identities, the
 chord round trip, channels from random weight tables against their Kraus
 sums, the windowed propagator against the full supermatrix, and its
-covariance build for kicked maps against the dense build; and, for N <= 64,
-the quantized maps that the parity rule accepts."""
+covariance build for kicked maps against the dense build, float64 for even
+weights; and, for N <= 64, the quantized maps that the parity rule accepts."""
 
 import numpy as np
 import pytest
@@ -187,12 +187,18 @@ def test_accepted_maps_are_unitary_and_covariant(case):
 
 
 @st.composite
-def kicked_windows(draw):
-    """An accepted map at N in 2..12, a kick in [-3, 3], a random-weight channel declaring SIGMA and a half-width."""
+def kicked_windows(draw, even=False):
+    """An accepted map at N in 2..12, a kick in [-3, 3], a random-weight channel declaring SIGMA and a half-width.
+
+    even=True makes the weights exactly centro-symmetric, w[-q, -p] == w[q, p].
+    """
     g, m, _ = draw(accepted_maps(max_n=12))
     n = g.n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     w = rng.random((n, n))
+    if even:
+        neg = -np.arange(n) % n
+        w = w + w[np.ix_(neg, neg)]
     ch = DiagonalChordChannel(g, float(rng.uniform()), w * n / w.sum(), sigma=SIGMA)
     kick = draw(st.floats(-3.0, 3.0, allow_nan=False))
     return ch, m, kick, draw(st.integers(1, (n + 1) // 2))
@@ -206,4 +212,15 @@ def test_kicked_map_window_is_the_dense_window(case):
     dense = _build(ch, quantize_linear_map(g, m) @ nonlinear_kick(g, kick), half_width)
     tp = _build(ch, KickedMap(m, kick), half_width)
     assert np.array_equal(tp.kept_modes, dense.kept_modes)
+    assert np.abs(tp.matrix - dense.matrix).max() < 1e-12
+
+
+@BUILDS
+@given(kicked_windows(even=True))
+def test_kicked_map_window_is_real_for_even_weights(case):
+    ch, m, kick, half_width = case
+    g = ch.geometry
+    dense = _build(ch, quantize_linear_map(g, m) @ nonlinear_kick(g, kick), half_width)
+    tp = _build(ch, KickedMap(m, kick), half_width)
+    assert tp.matrix.dtype == np.float64
     assert np.abs(tp.matrix - dense.matrix).max() < 1e-12

@@ -25,7 +25,7 @@ from chordnoise import (
     stability_report,
     translation_operator,
 )
-from chordnoise.spectral import _WINDOW_BYTES_BUDGET, TruncatedPropagator, _bilinear_entries
+from chordnoise.spectral import _WINDOW_BYTES_BUDGET, SpectrumResult, TruncatedPropagator, _bilinear_entries
 from chordnoise.oracles import ORACLE_N_CAP, chord_supermatrix
 
 CAT = LinearMapSpec(1, 1, 1, 2)
@@ -121,6 +121,16 @@ def test_kicked_map_matches_the_dense_build(n):
             assert tp.dim == 36 and np.array_equal(tp.kept_modes, dense.kept_modes)
             assert np.abs(tp.matrix - dense.matrix).max() < 1e-12, (m, k)
     assert accepted == 69
+
+
+def test_kicked_window_is_real():
+    # the even kick makes every KickedMap entry real and the Gaussian's Sigma is
+    # real, so the window is float64; the dense-u route keeps a complex window
+    g, u, ch = _standard_setup()
+    tp = build_noisy_propagator(ch, KickedMap(CAT, 0.02), 2.8)
+    dense = build_noisy_propagator(ch, u, 2.8)
+    assert tp.matrix.dtype == np.float64 and dense.matrix.dtype == np.complex128
+    assert np.abs(tp.matrix - dense.matrix).max() < 1e-12
 
 
 def test_kicked_map_is_refused_where_quantization_is():
@@ -366,6 +376,28 @@ def test_krylov_top_matches_dense_eigvals():
     top = leading_spectrum(tp, 20).eigenvalues[:3]
     dense = sort_by_modulus(np.linalg.eigvals(tp.matrix))[:3]
     assert np.abs(top - dense).max() < 1e-12
+
+
+def test_eigenvalues_are_complex_on_a_real_matrix(caplog):
+    # eig and eigvals return float64 when every eigenvalue of a real matrix is real
+    caplog.set_level(logging.DEBUG, logger="chordnoise.spectral")
+    lam = 0.8 ** np.arange(100)
+    tp = TruncatedPropagator(np.argwhere(np.ones((10, 10), dtype=bool)), np.diag(lam))
+    for count, path in ((5, "krylov"), (100, "dense")):
+        vals = leading_spectrum(tp, count).eigenvalues
+        assert f"path={path}" in caplog.records[-1].getMessage()
+        assert vals.dtype == np.complex128
+        assert np.abs(vals - lam[:count]).max() < 1e-12
+
+
+def test_count_that_splits_a_conjugate_pair():
+    # at k=1.0, a=4.8 the 20th value is one of a pair -0.0109 -+ 0.0265i; the
+    # real window's pairs are exactly conjugate with equal moduli, so the Krylov
+    # and dense solves keep the same member
+    _, _, ch = _standard_setup()
+    tp = build_noisy_propagator(ch, KickedMap(CAT, 1.0), 4.8)
+    dense = SpectrumResult(sort_by_modulus(np.linalg.eigvals(tp.matrix)))
+    assert stability_report(leading_spectrum(tp, 20), dense, 20) <= 1e-12
 
 
 def _normal_propagator(lam, seed=7):
