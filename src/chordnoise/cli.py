@@ -272,10 +272,16 @@ def _expand_config(argv: list) -> list:
     return rest[:1] + extra + rest[1:]
 
 
+# main's parser, built on its first call: parse_args leaves a parser unchanged
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(_expand_config(list(sys.argv[1:] if argv is None else argv)))
+        args = _parser.parse_args(_expand_config(list(sys.argv[1:] if argv is None else argv)))
         args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,7 +60,8 @@ extended precision, the kicked entries are off by 2e-16 and the dense ones
 by 4e-14. Its window is always complex128.
 
 The leading eigenvalues come from an Arnoldi iteration on the window matrix,
-in the window's own dtype, with the dense eigensolver as fallback (see
+in the window's own dtype, whose Krylov space grows by a quarter after each
+failed convergence check, with the dense eigensolver as fallback (see
 leading_spectrum).
 """
 
@@ -298,12 +299,13 @@ def _arnoldi_top(a: np.ndarray, count: int):
     """Top `count` Ritz values of a, grown as leading_spectrum describes.
 
     Returns (values or None, the last Krylov dimension built (0 if none),
-    max residual/|theta|, the reason for giving up or None). The factorization
-    A V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T is extended, not restarted,
-    when m doubles, so each doubling costs only the new steps.
+    the number of Hessenberg eigensolves, max residual/|theta|, the reason for
+    giving up or None). The factorization A V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T
+    is extended, not restarted, when m grows by ceil(m/4), so each check
+    costs only the new steps.
     """
     dim = a.shape[0]
-    m, done, worst = 2 * count + 1, 0, np.nan
+    m, done, checks, worst = 2 * count + 1, 0, 0, np.nan
     g = np.random.default_rng(0).standard_normal((2, dim))
     v0 = g[0] if np.isrealobj(a) else g[0] + 1j * g[1]
     basis = (v0 / np.linalg.norm(v0))[None]  # rows are the Arnoldi vectors
@@ -320,17 +322,17 @@ def _arnoldi_top(a: np.ndarray, count: int):
                 hess[: j + 1, j] += c
             hess[j + 1, j] = beta = np.linalg.norm(w)
             if not beta > dim * _EPS * scale:
-                return None, j + 1, np.nan, f"Krylov space invariant at step {j + 1}, so multiplicities are unseen"
+                return None, j + 1, checks, np.nan, f"Krylov space invariant at step {j + 1}, so multiplicities are unseen"
             basis[j + 1] = w / beta
-        done = m
+        done, checks = m, checks + 1
         theta, y = np.linalg.eig(hess[:m, :m])
         top = _modulus_order(theta)[:count]
         with np.errstate(divide="ignore", invalid="ignore"):  # theta = 0 never passes
             worst = float((np.abs(hess[m, m - 1] * y[m - 1, top]) / np.abs(theta[top])).max())
         if worst <= _EPS:
-            return theta[top], m, worst, None
-        m *= 2
-    return None, done, worst, f"Krylov dimension {m} would pass dim/2"
+            return theta[top], m, checks, worst, None
+        m += (m + 3) // 4  # ceil(m/4)
+    return None, done, checks, worst, f"Krylov dimension {m} would pass dim/2"
 
 
 def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
@@ -340,9 +342,13 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     in the matrix's own dtype: from a fixed-seed Gaussian start vector, g[0]
     for a real matrix and g[0] + 1j g[1] for a complex one, orthogonalized by
     classical Gram-Schmidt applied twice per step, the Krylov dimension m
-    starts at 2 count + 1 (ARPACK's default ncv) and doubles until each of the
-    top `count` Ritz values theta, with y its eigenvector of the m x m
-    Hessenberg matrix, passes ARPACK's test |h_{m+1,m} y_m| <= eps |theta|.
+    starts at 2 count + 1 (ARPACK's default ncv) and grows by ceil(m/4) after
+    each failed check until each of the top `count` Ritz values theta, with y
+    its eigenvector of the m x m Hessenberg matrix, passes ARPACK's test
+    |h_{m+1,m} y_m| <= eps |theta|. Quarter steps stop m near where the test
+    first passes: on the dim-484 and dim-1444 windows at N=100, sigma=0.04,
+    k=0.2 the top 20 first pass at m = 43 to 48, float64 or complex, and m
+    stops at 52 after checks at 41 and 52, where doubling built 82.
     The result is deterministic and always complex128. The dense
     np.linalg.eigvals is used instead when the next m would pass dim/2 before
     the top values pass (at once for count near dim), or when the Krylov
@@ -351,10 +357,9 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
 
     On a real matrix both paths keep conjugate pairs exact, with equal
     moduli, so sort_by_modulus puts the member with positive imaginary part
-    first on both, and a count that splits a pair keeps the same member. The
-    real iteration also converges sooner: on the float64 paper windows (N=100,
-    sigma=0.063, cat map 1,1,1,2, k=0.02, dims 196 and 576) m stops at 41,
-    where the complex one needed 82 at dim 576.
+    first on both, and a count that splits a pair keeps the same member. On
+    the float64 paper windows (N=100, sigma=0.063, cat map 1,1,1,2, k=0.02,
+    dims 196 and 576) m stops at 41, the first check.
 
     The window matrix is strongly non-normal. Past the top few, eigenvalues
     have condition numbers up to ~1e14 and sit at its rounding noise floor
@@ -364,19 +369,20 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     (dim 576) the top 20 agree to 1e-7 and 3e-15.
 
     Logs one DEBUG record to the "chordnoise.spectral" logger with dim,
-    count, the path, the final Krylov dimension, the max residual/|theta|
-    and, on the dense path, the reason.
+    count, the path, the final Krylov dimension, the number of checks
+    (Hessenberg eigensolves), the max residual/|theta| and, on the dense
+    path, the reason.
     """
     count = _integer(count, "eigenvalue count")
     if not 1 <= count <= tp.dim:
         raise ValueError(f"requested {count} eigenvalues; a dim-{tp.dim} propagator has 1 to {tp.dim}")
-    vals, m, worst, reason = _arnoldi_top(tp.matrix, count)
+    vals, m, checks, worst, reason = _arnoldi_top(tp.matrix, count)
     if reason is not None:
         vals = sort_by_modulus(np.linalg.eigvals(tp.matrix))[:count]
     vals = vals.astype(complex, copy=False)  # eig and eigvals give float64 when every value is real
     _log.debug(
-        "leading_spectrum dim=%d count=%d path=%s krylov_dim=%d max_rel_residual=%.2e%s",
-        tp.dim, count, "krylov" if reason is None else "dense", m, worst,
+        "leading_spectrum dim=%d count=%d path=%s krylov_dim=%d checks=%d max_rel_residual=%.2e%s",
+        tp.dim, count, "krylov" if reason is None else "dense", m, checks, worst,
         "" if reason is None else f" reason: {reason}",
     )
     return SpectrumResult(vals)

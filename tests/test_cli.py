@@ -168,6 +168,36 @@ def test_wigner_matches_library(tmp_path):
     assert_allclose(grid, expected, atol=1e-13)
 
 
+def test_a_refused_call_leaves_the_next_unchanged(tmp_path, monkeypatch):
+    # main reuses one parser per process; a refusal must not carry into the next call
+    valid = ["wigner", "--n", "16", "--centers", "0.4,0.25,0.6,0.75", "--out"]
+    lone, after = tmp_path / "lone.csv", tmp_path / "after.csv"
+    monkeypatch.setattr(chordnoise.cli, "_parser", None)
+    assert main([*valid, str(lone)]) == 0
+    monkeypatch.setattr(chordnoise.cli, "_parser", None)
+    with pytest.raises(SystemExit) as exc:  # refused by argparse
+        main(["wigner", "--n", "8", "--centers", "0.1,0.1,0.2,0.2", "--format", "xml", "--out", str(after)])
+    assert exc.value.code == 2
+    assert main(["wigner", "--n", "8", "--centers", "0.1,0.2", "--out", str(after)]) == 2  # refused by main
+    assert main([*valid, str(after)]) == 0
+    assert after.read_bytes() == lone.read_bytes()
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    fresh, built = chordnoise.cli.build_parser, []
+
+    def counting():
+        built.append(1)
+        return fresh()
+
+    monkeypatch.setattr(chordnoise.cli, "_parser", None)
+    monkeypatch.setattr(chordnoise.cli, "build_parser", counting)
+    assert main(["wigner", "--n", "8", "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["wigner", "--n", "8", "--format", "json", "--out", str(tmp_path / "b.json")]) == 0
+    assert len(built) == 1
+    assert fresh() is not fresh()  # build_parser itself still returns a new parser
+
+
 def test_propagator_and_stability_roundtrip(tmp_path, capsys):
     f1, f2 = tmp_path / "a28.csv", tmp_path / "a48.json"
     assert main(["propagator-spectrum", "--a-coeff", "2.8", "--out", str(f1)]) == 0
