@@ -189,9 +189,7 @@ def channel_spectrum(ch: DiagonalChordChannel) -> ChannelSpectrum:
     w = ch.weights
     # Ctilde[mu, nu]: an inverse FFT of w[q, p] over p, an FFT over q, then transposed
     ctil = np.fft.fft(np.fft.ifft(w.astype(complex), axis=1), axis=0).T
-    # w[-q, -p] == w[q, p] on reversed views, row 0 and column 0 being their own mirrors
-    even = (np.array_equal(w[1:, 1:], w[:0:-1, :0:-1]) and np.array_equal(w[0, 1:], w[0, :0:-1])
-            and np.array_equal(w[1:, 0], w[:0:-1, 0]))
+    even = np.array_equal(w, np.roll(w[::-1, ::-1], 1, axis=(0, 1)))  # w[q, p] == w[-q mod N, -p mod N]
     return ChannelSpectrum((1.0 - ch.epsilon) + ch.epsilon * (ctil.real if even else ctil))
 
 

@@ -50,10 +50,11 @@ more than the kept [-W, W), and its conjugate fills block (-q', -q). The
 blocks at the window's lower edge q' = -W or q = -W have no kept mirror and
 are computed alone, as is (0, 0), its own mirror: 60 of 100 blocks are
 computed at k=10, 760 of 1444 at k=38. Sigma scales the rows after the
-fill, so the identity needs nothing from the channel. M is formed in one
-preallocated N x N buffer from contiguous slices of U, with no copy of U per
-block. That is O(k N^2) per computed block, O(k^3 N^2) in all: ~11, ~46 and
-~150 ms at the same sizes, and ~64 ms at N=400, dim 100.
+fill, so the identity needs nothing from the channel. conj(U) is padded once
+by E, wrapping mod N, and each block's conj M is U times a 2-D view of it, in
+one preallocated N x N buffer, so F M F^dag = conj(conj(F) conj(M) F^T). That
+is O(k N^2) per computed block, O(k^3 N^2) in all: ~11, ~46 and ~150 ms at
+the same sizes, and ~64 ms at N=400, dim 100.
 It is the route for a general unitary and the reference for the kicked one,
 which it matches to ~5e-14 at N=100. Against the window evaluated in
 extended precision, the kicked entries are off by 2e-16 and the dense ones
@@ -117,11 +118,13 @@ class TruncatedPropagator:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenvalues sorted by descending modulus (ties by ascending phase)."""
+    """Eigenvalues sorted by descending modulus (ties by ascending phase); all finite, else ValueError."""
 
     eigenvalues: np.ndarray
 
     def __post_init__(self):
+        if not np.isfinite(self.eigenvalues).all():
+            raise ValueError("eigenvalues must be finite, not nan or inf")
         self.eigenvalues.setflags(write=False)
 
 
@@ -161,16 +164,14 @@ def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> tup
     mirror identity of the module docstring; a block whose mirror is not kept
     (q' or q at the window's lower edge) is computed on its own.
     """
-    u = np.ascontiguousarray(u)
     n, k = len(u), len(offs)
     cen = _centered(offs, n).tolist()  # ascending
     e = max(-cen[0], cen[-1])
     keep = slice(cen[0] + e, cen[0] + e + k)  # the kept momenta among [-E, E]
     f = np.exp(-2j * np.pi * np.outer(np.arange(-e, e + 1), np.arange(n)) / n)
-    fdag, ubar = f.conj().T, u.conj()
-    nn = n * n
+    fbar = f.conj()
+    ubar = np.pad(u.conj(), e, mode="wrap")  # ubar[e + a, e + d] = conj(u[a, d]), indices mod N
     buf = np.empty((n, n), dtype=complex)
-    uf, ubarf, buff = u.reshape(nn), ubar.reshape(nn), buf.reshape(nn)
     # rot[i, r] = e^{-2 pi i c_i c_r / N}; block (-q'_i, -q_j) takes the phase rot[i, r] conj(rot[j, s])
     rot = np.exp(-2j * np.pi * (np.outer(cen, cen) % n) / n)
     index = {q: i for i, q in enumerate(cen)}
@@ -182,22 +183,12 @@ def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> tup
             paired = mi is not None and mj is not None
             if paired and (qr, qc) < (-qr, -qc):
                 continue  # filled from block (-q', -q)
-            # buf[a, d] = u[a + q', d + q] conj(u[a, d]), indices mod N: the flat u shifted by
-            # q' N + q, then the |q| columns where d + q wrapped into the next row, redone
-            o = (qr * n + qc) % nn
-            np.multiply(uf[o:], ubarf[: nn - o], out=buff[: nn - o])
-            np.multiply(uf[:o], ubarf[nn - o :], out=buff[nn - o :])
-            if qc:
-                s = qr % n
-                dst, src = (slice(n - qc, n), slice(0, qc)) if qc > 0 else (slice(0, -qc), slice(n + qc, n))
-                np.multiply(u[s:, src], ubar[: n - s, dst], out=buf[: n - s, dst])
-                np.multiply(u[:s, src], ubar[n - s :, dst], out=buf[n - s :, dst])
-            b = f @ buf @ fdag
-            blocks[i, :, j, :] = b[keep, keep]
+            # buf[a, d] = conj(u[a + q', d + q]) u[a, d] = conj M[a, d], so b = conj(F M F^dag)
+            np.multiply(ubar[e + qr : e + qr + n, e + qc : e + qc + n], u, out=buf)
+            b = fbar @ buf @ f.T
+            np.conjugate(b[keep, keep], out=blocks[i, :, j, :])
             if paired and (mi, mj) != (i, j):
-                mirror = blocks[mi, :, mj, :]
-                np.conjugate(b[::-1, ::-1][keep, keep], out=mirror)
-                mirror *= np.outer(rot[i], rot[j].conj())
+                np.multiply(b[::-1, ::-1][keep, keep], np.outer(rot[i], rot[j].conj()), out=blocks[mi, :, mj, :])
                 mirrored += 1
     # in place: rows take Sigma(q', p') e^{-i pi p'q'/N} / N, columns e^{+i pi p q/N}
     half = np.exp(1j * np.pi * np.outer(offs, offs) / n)
@@ -242,7 +233,7 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     be finite and unitary; its entries come from the bilinear form, O(k N^2)
     per (q', q) block, O(k^3 N^2) in all, with about half the blocks filled
     from their mirror (-q', -q) by conjugation; besides the window it holds
-    conj(u) and one N x N buffer.
+    conj(u) padded by the window's half-width and one N x N buffer.
     The window follows the module convention: dimension min(4 W^2, N^2),
     kept_modes always in centered q-major order. Any other evolution, a
     channel with sigma None (it has no window) and a window whose dense matrix

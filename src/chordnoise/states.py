@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .phasespace import TorusGeometry
+from .phasespace import TorusGeometry, _real
 
 __all__ = [
     "coherent_state",
@@ -35,8 +35,9 @@ def coherent_state(geom: TorusGeometry, q0: float, p0: float) -> np.ndarray:
     """Normalized Gaussian wavepacket centered at (q0, p0) on the unit torus.
 
     Centers are reduced mod 1 before the images are summed, so any finite
-    center works and centers in [0, 1) are used as given.
+    real center works and centers in [0, 1) are used as given.
     """
+    q0, p0 = _real(q0, "packet center q0"), _real(p0, "packet center p0")
     if not np.isfinite([q0, p0]).all():
         raise ValueError(f"packet center must be finite, got ({q0}, {p0})")
     q0, p0 = q0 % 1.0, p0 % 1.0
@@ -49,13 +50,18 @@ def coherent_state(geom: TorusGeometry, q0: float, p0: float) -> np.ndarray:
 
 
 def cat_state(geom: TorusGeometry, c1, c2) -> np.ndarray:
-    """Equal-weight superposition of two coherent states, relative phase 0."""
+    """Equal-weight superposition of two coherent states, relative phase 0; c1 and c2 are (q0, p0) pairs."""
+    for c in (c1, c2):
+        if np.shape(c) != (2,):
+            raise ValueError(f"packet center must be a pair (q0, p0), got {c!r}")
     psi = coherent_state(geom, *c1) + coherent_state(geom, *c2)
     return psi / np.linalg.norm(psi)
 
 
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
-    """Rank-one projector |psi><psi| from a normalized state vector."""
+    """Rank-one projector |psi><psi| from a normalized 1-D state vector."""
+    if np.ndim(psi) != 1:
+        raise ValueError(f"state vector must be 1-D, got shape {np.shape(psi)}")
     nrm = np.linalg.norm(psi)
     if not abs(nrm - 1.0) <= 1e-10:
         raise ValueError(f"state vector not normalized: |psi| = {nrm}")

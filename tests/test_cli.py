@@ -239,6 +239,17 @@ def test_stability_reads_blank_lines_and_refuses_malformed_tables(tmp_path, caps
         assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_stability_refuses_non_finite_eigenvalues(tmp_path, capsys, bad):
+    good, broken = tmp_path / "good.csv", tmp_path / "broken.csv"
+    good.write_text("re,im\r\n1.0,0.0\r\n0.2,0.0\r\n0.5,0.0\r\n")
+    broken.write_text(f"re,im\r\n1.0,0.0\r\n{bad},0.0\r\n0.5,0.0\r\n")
+    for pair in ((good, broken), (broken, good)):
+        assert main(["stability", "--inputs", *map(str, pair), "--count", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "finite" in err
+
+
 def test_propagator_count_flag(tmp_path):
     out = tmp_path / "few.csv"
     rc = main(

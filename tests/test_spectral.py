@@ -182,8 +182,8 @@ def test_oversized_window_refused_before_allocating():
 
 
 def test_dense_build_holds_no_copy_of_u_per_block():
-    # N = 256, W = 3 (dim 36). The entries hold conj(u) and one N x N product
-    # buffer besides the window; a per-block copy of u would add a third N x N.
+    # N = 256, W = 3 (dim 36). The entries hold conj(u), wrap-padded by 3, and one
+    # N x N product buffer besides the window; a per-block copy of u would add a third N x N.
     # The whole build peaks at the channel's N x N spectrum, formed before.
     _, u, ch = _standard_setup(n=256, sigma=0.1, k=0.3)
     offs = np.arange(-3, 3) % 256
@@ -355,6 +355,17 @@ def test_stability_report_handles_near_degenerate_order():
     a = SpectrumResult(np.array([np.exp(0.1j), np.exp(2.0j)]))
     b = SpectrumResult(np.array([np.exp(2.0j), np.exp(0.1j)]))
     assert stability_report(a, b, 2) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.2, np.nan)])
+def test_spectrum_result_refuses_non_finite_eigenvalues(bad):
+    # a nan used to compare as 0.0 in one order and 0.5 in the other
+    good = np.array([1.0, 0.2, 0.5], dtype=complex)
+    broken = good.copy()
+    broken[1] = bad
+    for first, second in ((broken, good), (good, broken)):
+        with pytest.raises(ValueError, match="finite"):
+            stability_report(SpectrumResult(first.copy()), SpectrumResult(second.copy()), 3)
 
 
 def test_build_is_deterministic():

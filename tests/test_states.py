@@ -73,6 +73,22 @@ def test_density_from_pure():
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         density_from_pure(2 * psi)
+    # np.eye(2)/sqrt(2) has unit Frobenius norm, so only the shape check stops it
+    for not_a_vector in (np.eye(2) / np.sqrt(2), np.ones((1, 2)) / np.sqrt(2), np.array(1.0)):
+        with pytest.raises(ValueError, match="1-D"):
+            density_from_pure(not_a_vector)
+
+
+@pytest.mark.parametrize(
+    "center", [("0.1", 0.2), (0.1, "0.2"), (None, 0.2), (0.1 + 1j, 0.2), (0.1, 0.2 + 0j), None, "ab", (0.1, 0.2, 0.3)]
+)
+def test_states_refuse_centers_that_are_not_real_pairs(center):
+    g = TorusGeometry(8)
+    if isinstance(center, tuple) and len(center) == 2:
+        with pytest.raises(ValueError, match="must be real"):
+            coherent_state(g, *center)
+    with pytest.raises(ValueError, match="must be real|must be a pair"):
+        cat_state(g, (0.4, 0.25), center)
 
 
 def test_wigner_matches_point_operator_oracle():
