@@ -47,7 +47,7 @@ class DiagonalChordChannel:
     weight of T_(q,p) in the eps-part is weights[q, p]/N. sigma is the width
     of the propagator window (see spectral): None (no window) or finite and
     positive. make_gaussian sets it to the Gaussian's width. epsilon and
-    sigma are stored as Python floats; a non-real one raises ValueError.
+    sigma are stored as Python floats; any but a finite real raises ValueError.
     """
 
     geometry: TorusGeometry
@@ -57,7 +57,7 @@ class DiagonalChordChannel:
 
     def __post_init__(self):
         n = self.geometry.n
-        weights = np.asarray(_real(self.weights, "channel weights"))  # a copy, so the caller's array stays writeable
+        weights = _real(self.weights, "channel weights", (n, n))  # a copy, so the caller's array stays writeable
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
@@ -65,12 +65,8 @@ class DiagonalChordChannel:
             object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma > 0):
+        if self.sigma is not None and not self.sigma > 0:
             raise ValueError(f"sigma must be None or finite and positive, got {self.sigma}")
-        if self.weights.shape != (n, n):
-            raise ValueError(f"weight table shape {self.weights.shape}, expected {(n, n)}")
-        if not np.isfinite(self.weights).all():
-            raise ValueError("channel weights must be finite")
         if not self.weights.min() >= -1e-12:
             raise ValueError(f"negative channel weight {self.weights.min()}")
         total = float(self.weights.sum())
@@ -130,7 +126,7 @@ def make_gaussian(geom: TorusGeometry, sigma: float) -> DiagonalChordChannel:
     that N.
     """
     sigma = _real(sigma, "sigma")
-    if not (np.isfinite(sigma) and sigma > 0):
+    if not sigma > 0:
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
     n = geom.n
     f = _gaussian_factor(n, sigma)

@@ -78,7 +78,7 @@ class KickedMap:
     def __post_init__(self):
         if not isinstance(self.spec, LinearMapSpec):
             raise ValueError(f"spec must be a LinearMapSpec, got {self.spec!r}")
-        object.__setattr__(self, "kick", _finite_kick(self.kick))
+        object.__setattr__(self, "kick", _real(self.kick, "kick strength"))
 
 
 def _check_quantizable(m: LinearMapSpec, n: int) -> None:
@@ -116,16 +116,9 @@ def quantize_linear_map(geom: TorusGeometry, m: LinearMapSpec) -> np.ndarray:
     return np.exp(1j * np.pi * (m.a * nn**2 - 2 * nn * npr + m.d * npr**2) / (n * m.b)) / np.sqrt(n)
 
 
-def _finite_kick(k) -> float:
-    k = _real(k, "kick strength")
-    if not np.isfinite(k):
-        raise ValueError(f"kick strength must be finite, got {k}")
-    return k
-
-
 def _kick_phase(n: int, k: float) -> np.ndarray:
     """Kick phases phi(j) = -(k N / 2 pi) cos(2 pi j / N) for j = 0..N-1."""
-    return -(_finite_kick(k) * n / (2 * np.pi)) * np.cos(2 * np.pi * np.arange(n) / n)
+    return -(_real(k, "kick strength") * n / (2 * np.pi)) * np.cos(2 * np.pi * np.arange(n) / n)
 
 
 def nonlinear_kick(geom: TorusGeometry, k: float) -> np.ndarray:

@@ -50,17 +50,22 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _real(value, what: str):
-    """value as a Python float, or an array as float64 (a copy), else ValueError naming it.
+def _real(value, what: str, shape=()):
+    """value as a finite Python float, or at a nonempty shape as a finite float64 array (a copy), else ValueError naming it.
 
     Only real numbers pass (bool, integer and float dtypes, numpy's included);
-    a string, complex or object value is refused, not converted.
+    a string, complex or object value, nan, inf or another shape is refused.
     """
     arr = np.asarray(value)
     if arr.dtype.kind not in "biuf":
         shown = repr(value) if arr.ndim == 0 else f"dtype {arr.dtype}"
         raise ValueError(f"{what} must be real, got {shown}")
-    return float(arr) if arr.ndim == 0 else arr.astype(float)
+    if arr.shape != shape:
+        raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite" + (f", got {arr}" if arr.ndim == 0 else ""))
+    return arr if shape else float(arr)
 
 
 def _label(alpha) -> tuple[int, int]:
@@ -142,9 +147,10 @@ def chord_transform(a: np.ndarray, geom: TorusGeometry) -> np.ndarray:
     Tr(A T_(q,p)^dag) = exp(-i*pi*p*q/N) * sum_m A[(m+q)%N, m] e^{-2*pi*i*p*m/N}.
     """
     n = geom.n
+    a = np.asarray(a, dtype=complex)
     if a.shape != (n, n):
         raise ValueError(f"operator shape {a.shape} does not match N={n}")
-    d = _shifted_diagonals(np.asarray(a, dtype=complex))
+    d = _shifted_diagonals(a)
     f = np.fft.fft(d, axis=1)
     qv = np.arange(n)[:, None]
     pv = np.arange(n)[None, :]

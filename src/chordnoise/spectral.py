@@ -76,7 +76,7 @@ import numpy as np
 
 from .channels import DiagonalChordChannel, channel_spectrum
 from .dynamics import KickedMap, _check_quantizable, _kick_phase
-from .phasespace import _centered, _integer, _reduction_sign
+from .phasespace import _centered, _integer, _real, _reduction_sign
 
 __all__ = [
     "TruncatedPropagator",
@@ -118,14 +118,18 @@ class TruncatedPropagator:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenvalues sorted by descending modulus (ties by ascending phase); all finite, else ValueError."""
+    """Eigenvalues sorted by descending modulus (ties by ascending phase); a finite 1-D numeric array, else ValueError."""
 
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.eigenvalues).all():
+        vals = np.asarray(self.eigenvalues)
+        if vals.ndim != 1 or vals.dtype.kind not in "biufc":
+            raise ValueError(f"eigenvalues must be a 1-D numeric array, got shape {vals.shape} and dtype {vals.dtype}")
+        if not np.isfinite(vals).all():
             raise ValueError("eigenvalues must be finite, not nan or inf")
-        self.eigenvalues.setflags(write=False)
+        vals.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", vals)
 
 
 # refuse windows whose dense dim x dim complex matrix would pass this many bytes
@@ -139,7 +143,8 @@ def _window(ch: DiagonalChordChannel, a_coeff: float) -> tuple[np.ndarray, np.nd
     the (k, k) table of Sigma(q', p') on the kept rows, after checking a_coeff,
     the channel's sigma and the _WINDOW_BYTES_BUDGET on the dense matrix.
     """
-    if not (np.isfinite(a_coeff) and a_coeff > 0):
+    a_coeff = _real(a_coeff, "truncation coefficient")
+    if not a_coeff > 0:
         raise ValueError(f"truncation coefficient must be finite and positive, got {a_coeff}")
     if ch.sigma is None:
         raise ValueError("a channel with sigma None has no window; its full propagator is "
@@ -230,7 +235,7 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     are formed, O(k^3 + k N log N) for k kept offsets per axis; the window
     has Sigma's dtype, float64 for a Gaussian channel. Its map must
     pass quantize_linear_map's rule, with the same ValueError. A dense u must
-    be finite and unitary; its entries come from the bilinear form, O(k N^2)
+    be numeric, finite and unitary; its entries come from the bilinear form, O(k N^2)
     per (q', q) block, O(k^3 N^2) in all, with about half the blocks filled
     from their mirror (-q', -q) by conjugation; besides the window it holds
     conj(u) padded by the window's half-width and one N x N buffer.
@@ -250,8 +255,8 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
         _check_quantizable(evolution.spec, n)
     elif isinstance(evolution, np.ndarray):
         u = evolution
-        if u.shape != (n, n):
-            raise ValueError(f"unitary shape {u.shape} does not match N={n}")
+        if u.shape != (n, n) or u.dtype.kind not in "biufc":
+            raise ValueError(f"unitary shape {u.shape} and dtype {u.dtype}: need ({n}, {n}) and a numeric dtype")
         uerr = np.abs(u @ u.conj().T - np.eye(n)).max() if np.isfinite(u).all() else np.inf
         if not uerr <= 1e-10:
             raise ValueError(f"u is not unitary (deviation {uerr:.2e})")
@@ -339,7 +344,7 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     |h_{m+1,m} y_m| <= eps |theta|. Quarter steps stop m near where the test
     first passes: on the dim-484 and dim-1444 windows at N=100, sigma=0.04,
     k=0.2 the top 20 first pass at m = 43 to 48, float64 or complex, and m
-    stops at 52 after checks at 41 and 52, where doubling built 82.
+    stops at 52 after checks at 41 and 52.
     The result is deterministic and always complex128. The dense
     np.linalg.eigvals is used instead when the next m would pass dim/2 before
     the top values pass (at once for count near dim), or when the Krylov

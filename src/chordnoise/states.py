@@ -37,10 +37,7 @@ def coherent_state(geom: TorusGeometry, q0: float, p0: float) -> np.ndarray:
     Centers are reduced mod 1 before the images are summed, so any finite
     real center works and centers in [0, 1) are used as given.
     """
-    q0, p0 = _real(q0, "packet center q0"), _real(p0, "packet center p0")
-    if not np.isfinite([q0, p0]).all():
-        raise ValueError(f"packet center must be finite, got ({q0}, {p0})")
-    q0, p0 = q0 % 1.0, p0 % 1.0
+    q0, p0 = _real(q0, "packet center q0") % 1.0, _real(p0, "packet center p0") % 1.0
     n = geom.n
     x = np.arange(n) / n
     amp = np.zeros(n, dtype=complex)
@@ -60,8 +57,9 @@ def cat_state(geom: TorusGeometry, c1, c2) -> np.ndarray:
 
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
     """Rank-one projector |psi><psi| from a normalized 1-D state vector."""
-    if np.ndim(psi) != 1:
-        raise ValueError(f"state vector must be 1-D, got shape {np.shape(psi)}")
+    psi = np.asarray(psi)
+    if psi.ndim != 1:
+        raise ValueError(f"state vector must be 1-D, got shape {psi.shape}")
     nrm = np.linalg.norm(psi)
     if not abs(nrm - 1.0) <= 1e-10:
         raise ValueError(f"state vector not normalized: |psi| = {nrm}")
@@ -77,7 +75,8 @@ def wigner_function(rho: np.ndarray) -> np.ndarray:
     through the prefactor exp(i*pi*q*p/N). Raises on non-Hermitian or
     non-finite input, for which the trace is not a real number.
     """
-    n = rho.shape[0]
+    rho = np.asarray(rho)
+    n = rho.shape[0] if rho.ndim else 0
     if rho.shape != (n, n):
         raise ValueError(f"density matrix must be square, got {rho.shape}")
     TorusGeometry(n)  # rejects N < 2

@@ -245,8 +245,10 @@ def test_non_finite_noise_rejected(bad):
 @pytest.mark.parametrize("sigma", [0.0, -0.1, np.nan, np.inf])
 def test_channel_rejects_bad_sigma(sigma):
     # these once reached build_noisy_propagator and failed there three
-    # different ways: ZeroDivisionError, "keeps no modes", NaN to integer
-    with pytest.raises(ValueError, match="sigma must be None or finite and positive"):
+    # different ways: ZeroDivisionError, "keeps no modes", NaN to integer;
+    # nan and inf are refused by the finite-real check every real input shares
+    message = "sigma must be None or finite and positive" if np.isfinite(sigma) else "sigma must be finite, got"
+    with pytest.raises(ValueError, match=message):
         DiagonalChordChannel(TorusGeometry(8), 1.0, np.full((8, 8), 1.0 / 8), sigma=sigma)
 
 

@@ -11,6 +11,8 @@ from chordnoise import (
     KickedMap,
     LinearMapSpec,
     TorusGeometry,
+    build_noisy_propagator,
+    coherent_state,
     composition_phase,
     line_points,
     make_depolarizing,
@@ -60,12 +62,39 @@ _W4 = np.full((4, 4), 0.25)
         lambda: DiagonalChordChannel(_G4, 0.5, _W4.astype(object)),
         lambda: KickedMap(CAT, "0.1"),
         lambda: make_phase_damping_line(_G4, (0, 1, 0), "0.3"),
+        lambda: build_noisy_propagator(make_gaussian(_G4, 0.3), KickedMap(CAT, 0.1), "2.8"),
     ],
 )
 def test_non_real_numbers_refused(build):
     # each of these once failed with a TypeError from a comparison or np.isfinite
     with pytest.raises(ValueError, match="must be real, got"):
         build()
+
+
+_REAL_INPUTS = {
+    "gaussian sigma": lambda x: make_gaussian(_G4, x),
+    "channel sigma": lambda x: DiagonalChordChannel(_G4, 0.5, _W4, x),
+    "epsilon": lambda x: DiagonalChordChannel(_G4, x, _W4),
+    "kick": lambda x: KickedMap(CAT, x),
+    "kick matrix": lambda x: nonlinear_kick(_G4, x),
+    "center q0": lambda x: coherent_state(_G4, x, 0.2),
+    "center p0": lambda x: coherent_state(_G4, 0.1, x),
+    "a_coeff": lambda x: build_noisy_propagator(make_gaussian(_G4, 0.3), KickedMap(CAT, 0.1), x),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", ["0.1", None, 0.1 + 0j, np.array([0.1, 0.2]), np.nan, np.inf], ids=["str", "None", "complex", "array", "nan", "inf"]
+)
+@pytest.mark.parametrize("site", list(_REAL_INPUTS))
+def test_real_inputs_refuse_all_but_a_finite_real_scalar(site, bad):
+    # an array once failed with numpy's "truth value is ambiguous", nan and inf
+    # with the wording of whichever module re-checked them
+    if site == "channel sigma" and bad is None:
+        assert _REAL_INPUTS[site](bad).sigma is None  # a channel with no window
+        return
+    with pytest.raises(ValueError, match=r"must be real, got|must be finite|has shape \(2,\), expected \(\)"):
+        _REAL_INPUTS[site](bad)
 
 
 def test_real_numbers_may_be_numpy_scalars():

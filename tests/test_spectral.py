@@ -277,6 +277,8 @@ def test_build_rejects_non_unitary_map():
         build_noisy_propagator(ch, 2 * u, 2.0)
     with pytest.raises(ValueError, match="shape"):
         build_noisy_propagator(ch, u[:, :-1], 2.0)
+    with pytest.raises(ValueError, match="numeric dtype"):  # once a TypeError from np.isfinite
+        build_noisy_propagator(ch, np.full((20, 20), "a"), 2.0)
 
 
 @pytest.mark.parametrize("evolution", [CAT, [[1, 0], [0, 1]], None, (CAT, 0.3)])
@@ -366,6 +368,16 @@ def test_spectrum_result_refuses_non_finite_eigenvalues(bad):
     for first, second in ((broken, good), (good, broken)):
         with pytest.raises(ValueError, match="finite"):
             stability_report(SpectrumResult(first.copy()), SpectrumResult(second.copy()), 3)
+
+
+def test_spectrum_result_takes_a_numeric_vector_only():
+    vals = np.array([1.0, 0.5j])
+    assert SpectrumResult(vals).eigenvalues is vals and not vals.flags.writeable  # frozen in place, no copy
+    listed = SpectrumResult([1.0, 0.5j]).eigenvalues  # once an AttributeError from setflags
+    assert np.array_equal(listed, vals) and not listed.flags.writeable
+    for bad in (np.eye(2, dtype=complex), np.array(["1", "0.5"])):  # once accepted, and a TypeError
+        with pytest.raises(ValueError, match="1-D numeric array"):
+            SpectrumResult(bad)
 
 
 def test_build_is_deterministic():

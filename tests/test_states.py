@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from chordnoise import (
     TorusGeometry,
     cat_state,
+    chord_transform,
     coherent_state,
     density_from_pure,
     wigner_function,
@@ -74,9 +75,21 @@ def test_density_from_pure():
     with pytest.raises(ValueError):
         density_from_pure(2 * psi)
     # np.eye(2)/sqrt(2) has unit Frobenius norm, so only the shape check stops it
-    for not_a_vector in (np.eye(2) / np.sqrt(2), np.ones((1, 2)) / np.sqrt(2), np.array(1.0)):
+    for not_a_vector in (np.eye(2) / np.sqrt(2), np.ones((1, 2)) / np.sqrt(2), np.array(1.0), [[1.0, 0.0]]):
         with pytest.raises(ValueError, match="1-D"):
             density_from_pure(not_a_vector)
+    assert np.array_equal(density_from_pure([1.0, 0.0]), np.diag([1.0, 0.0]))  # once an AttributeError
+
+
+@pytest.mark.parametrize(
+    "transform", [lambda a: chord_transform(a, TorusGeometry(2)), wigner_function], ids=["chord_transform", "wigner_function"]
+)
+def test_nested_lists_are_read_as_arrays(transform):
+    # both once failed with an AttributeError on a list
+    rho = [[0.5, 0.0], [0.0, 0.5]]
+    assert np.array_equal(transform(rho), transform(np.array(rho)))
+    with pytest.raises(ValueError, match="shape|square"):
+        transform([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
 
 
 @pytest.mark.parametrize(
