@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import TorusGeometry, _centered, _integer, _real, chord_transform, chord_inverse
+from .phasespace import TorusGeometry, _centered, _integer, _is_even, _real, chord_transform, chord_inverse
 
 __all__ = [
     "DiagonalChordChannel",
@@ -185,8 +185,7 @@ def channel_spectrum(ch: DiagonalChordChannel) -> ChannelSpectrum:
     w = ch.weights
     # Ctilde[mu, nu]: an inverse FFT of w[q, p] over p, an FFT over q, then transposed
     ctil = np.fft.fft(np.fft.ifft(w.astype(complex), axis=1), axis=0).T
-    even = np.array_equal(w, np.roll(w[::-1, ::-1], 1, axis=(0, 1)))  # w[q, p] == w[-q mod N, -p mod N]
-    return ChannelSpectrum((1.0 - ch.epsilon) + ch.epsilon * (ctil.real if even else ctil))
+    return ChannelSpectrum((1.0 - ch.epsilon) + ch.epsilon * (ctil.real if _is_even(w) else ctil))
 
 
 def apply_channel(ch: DiagonalChordChannel, rho: np.ndarray) -> np.ndarray:

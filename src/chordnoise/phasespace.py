@@ -126,6 +126,15 @@ def _centered(k, n: int):
     return (k + n // 2) % n - n // 2
 
 
+def _is_even(a: np.ndarray) -> bool:
+    """Whether a[-i, -j] == a[i, j] for all i, j mod N, compared on reversed views, with no copy of a."""
+    return (
+        np.array_equal(a[1:, 1:], a[:0:-1, :0:-1])
+        and np.array_equal(a[0, 1:], a[0, :0:-1])
+        and np.array_equal(a[1:, 0], a[:0:-1, 0])
+    )
+
+
 def wedge(lam, alpha) -> int:
     """Symplectic product mu*p - nu*q of lam = (mu, nu) against alpha = (q, p)."""
     mu, nu = _label(lam)

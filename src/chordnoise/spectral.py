@@ -55,10 +55,19 @@ by E, wrapping mod N, and each block's conj M is U times a 2-D view of it, in
 one preallocated N x N buffer, so F M F^dag = conj(conj(F) conj(M) F^T). That
 is O(k N^2) per computed block, O(k^3 N^2) in all: ~11, ~46 and ~150 ms at
 the same sizes, and ~64 ms at N=400, dim 100.
-It is the route for a general unitary and the reference for the kicked one,
-which it matches to ~5e-14 at N=100. Against the window evaluated in
-extended precision, the kicked entries are off by 2e-16 and the dense ones
-by 4e-14. Its window is always complex128.
+It is the route for a general unitary and the reference for the kicked one.
+When u is parity symmetric, u[-a, -d] == u[a, d] with indices mod N, and
+Sigma is real, every entry is real as well: parity gives
+E(lam', lam) = s(lam') s(lam) E(m(lam'), m(lam)), and the mirror identity
+gives the same right side conjugated, so E = conj E. quantize_linear_map
+and nonlinear_kick are parity symmetric bit for bit, and so is U_M K formed
+elementwise; the check is exact, on reversed views of u, not a tolerance.
+Rows q' and -q' are computed together in a complex staging buffer of 2 k^3
+values and scaled there by Sigma / N and the half-phases; the window keeps
+their real part and is float64, or keeps them whole and is complex128 for
+any other u (a Haar unitary, a translation) or a complex Sigma. At N=100,
+sigma=0.063, k=0.02 the float64 dense entries lie 7e-16 from the kicked
+ones, which lie 2e-16 from the window evaluated in extended precision.
 
 The leading eigenvalues come from an Arnoldi iteration on the window matrix,
 in the window's own dtype, whose Krylov space grows by a quarter after each
@@ -76,7 +85,7 @@ import numpy as np
 
 from .channels import DiagonalChordChannel, channel_spectrum
 from .dynamics import KickedMap, _check_quantizable, _kick_phase
-from .phasespace import _centered, _integer, _real, _reduction_sign
+from .phasespace import _centered, _integer, _is_even, _real, _reduction_sign
 
 __all__ = [
     "TruncatedPropagator",
@@ -97,19 +106,24 @@ class TruncatedPropagator:
 
     kept_modes is a read-only (dim, 2) integer array of canonical chord labels
     (q, p) in matrix order: q-major, each axis in centered order, lowest first.
-    matrix is read-only too: float64 for a KickedMap under a channel with a
-    real Sigma, complex128 otherwise (see the module docstring).
+    matrix is read-only too: float64 under a channel with a real Sigma for a
+    KickedMap or a parity-symmetric u, complex128 otherwise (see the module
+    docstring). Both are read with np.asarray, so an ndarray is frozen in
+    place, with no copy; any other shapes raise ValueError.
     """
 
     kept_modes: np.ndarray
     matrix: np.ndarray
 
     def __post_init__(self):
-        dim = len(self.kept_modes)
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {self.matrix.shape} vs {dim} kept modes")
-        self.kept_modes.setflags(write=False)
-        self.matrix.setflags(write=False)
+        kept, mat = np.asarray(self.kept_modes), np.asarray(self.matrix)
+        dim = len(kept) if kept.ndim else 0
+        if kept.shape != (dim, 2) or mat.shape != (dim, dim):
+            raise ValueError(f"kept_modes shape {kept.shape} and matrix shape {mat.shape}: need (dim, 2) and (dim, dim)")
+        kept.setflags(write=False)
+        mat.setflags(write=False)
+        object.__setattr__(self, "kept_modes", kept)
+        object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
@@ -167,38 +181,52 @@ def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> tup
     Block (q', q) is F M F^dag over the symmetric momenta [-E, E] that hold
     the kept ones and their negatives, so it also gives block (-q', -q) by the
     mirror identity of the module docstring; a block whose mirror is not kept
-    (q' or q at the window's lower edge) is computed on its own.
+    (q' or q at the window's lower edge) is computed on its own. Rows q' and
+    -q' are filled together in a complex staging buffer, scaled there, and
+    written to the window, which is float64 when Sigma is real and u is
+    parity symmetric (the module docstring), complex128 otherwise.
     """
     n, k = len(u), len(offs)
     cen = _centered(offs, n).tolist()  # ascending
     e = max(-cen[0], cen[-1])
     keep = slice(cen[0] + e, cen[0] + e + k)  # the kept momenta among [-E, E]
+    real = sigma.dtype.kind != "c" and _is_even(u)  # u parity symmetric
     f = np.exp(-2j * np.pi * np.outer(np.arange(-e, e + 1), np.arange(n)) / n)
     fbar = f.conj()
     ubar = np.pad(u.conj(), e, mode="wrap")  # ubar[e + a, e + d] = conj(u[a, d]), indices mod N
     buf = np.empty((n, n), dtype=complex)
     # rot[i, r] = e^{-2 pi i c_i c_r / N}; block (-q'_i, -q_j) takes the phase rot[i, r] conj(rot[j, s])
     rot = np.exp(-2j * np.pi * (np.outer(cen, cen) % n) / n)
+    # rows take Sigma(q', p') e^{-i pi p'q'/N} / N, columns e^{+i pi p q/N}
+    half = np.exp(1j * np.pi * np.outer(offs, offs) / n)
+    row_scale = sigma * half.conj() / n
     index = {q: i for i, q in enumerate(cen)}
-    blocks = np.empty((k, k, k, k), dtype=complex)  # [q', p', q, p]
+    blocks = np.empty((k, k, k, k), dtype=float if real else complex)  # [q', p', q, p]
+    stage = np.empty((2, k, k, k), dtype=complex)  # rows q' and -q' of blocks
     mirrored = 0
     for i, qr in enumerate(cen):
-        for j, qc in enumerate(cen):
-            mi, mj = index.get(-qr), index.get(-qc)
-            paired = mi is not None and mj is not None
-            if paired and (qr, qc) < (-qr, -qc):
-                continue  # filled from block (-q', -q)
-            # buf[a, d] = conj(u[a + q', d + q]) u[a, d] = conj M[a, d], so b = conj(F M F^dag)
-            np.multiply(ubar[e + qr : e + qr + n, e + qc : e + qc + n], u, out=buf)
-            b = fbar @ buf @ f.T
-            np.conjugate(b[keep, keep], out=blocks[i, :, j, :])
-            if paired and (mi, mj) != (i, j):
-                np.multiply(b[::-1, ::-1][keep, keep], np.outer(rot[i], rot[j].conj()), out=blocks[mi, :, mj, :])
-                mirrored += 1
-    # in place: rows take Sigma(q', p') e^{-i pi p'q'/N} / N, columns e^{+i pi p q/N}
-    half = np.exp(1j * np.pi * np.outer(offs, offs) / n)
-    blocks *= (sigma * half.conj() / n)[:, :, None, None]
-    blocks *= half
+        mi = index.get(-qr)
+        if qr < 0 and mi is not None:
+            continue  # staged with row -q'
+        rows = [i] if mi in (None, i) else [i, mi]  # row r is staged at slot s, its mirror at the other
+        for s, r in enumerate(rows):
+            q, ms = cen[r], len(rows) - 1 - s
+            for j, qc in enumerate(cen):
+                mj = index.get(-qc)
+                paired = mi is not None and mj is not None
+                if paired and (q, qc) < (-q, -qc):
+                    continue  # filled from block (-q', -q)
+                # buf[a, d] = conj(u[a + q', d + q]) u[a, d] = conj M[a, d], so b = conj(F M F^dag)
+                np.multiply(ubar[e + q : e + q + n, e + qc : e + qc + n], u, out=buf)
+                b = fbar @ buf @ f.T
+                np.conjugate(b[keep, keep], out=stage[s, :, j, :])
+                if paired and (rows[ms], mj) != (r, j):
+                    np.multiply(b[::-1, ::-1][keep, keep], np.outer(rot[r], rot[j].conj()), out=stage[ms, :, mj, :])
+                    mirrored += 1
+        staged = stage[: len(rows)]
+        staged *= row_scale[rows][:, :, None, None]
+        staged *= half
+        blocks[rows] = staged.real if real else staged
     return blocks, mirrored
 
 
@@ -238,15 +266,19 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     be numeric, finite and unitary; its entries come from the bilinear form, O(k N^2)
     per (q', q) block, O(k^3 N^2) in all, with about half the blocks filled
     from their mirror (-q', -q) by conjugation; besides the window it holds
-    conj(u) padded by the window's half-width and one N x N buffer.
+    conj(u) padded by the window's half-width, one N x N buffer and 2 k^3
+    staged entries. Its window is float64 when Sigma is real and u is parity
+    symmetric bit for bit, as quantize_linear_map(...) * np.diag(nonlinear_kick(...))
+    is, and complex128 otherwise.
     The window follows the module convention: dimension min(4 W^2, N^2),
     kept_modes always in centered q-major order. Any other evolution, a
     channel with sigma None (it has no window) and a window whose dense matrix
     would pass _WINDOW_BYTES_BUDGET raise ValueError.
 
     Logs one DEBUG record to the "chordnoise.spectral" logger with the branch
-    (kicked or dense), dim, the (q', q) blocks computed and mirrored (all k^2
-    computed on the kicked branch) and the seconds taken.
+    (kicked or dense), dim, the window's dtype (float64 or complex128), the
+    (q', q) blocks computed and mirrored (all k^2 computed on the kicked
+    branch) and the seconds taken.
     """
     start = time.perf_counter()
     n = ch.geometry.n
@@ -271,8 +303,8 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     kept = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
     tp = TruncatedPropagator(kept, blocks.reshape(k * k, k * k))
     _log.debug(
-        "build_noisy_propagator branch=%s dim=%d blocks_computed=%d blocks_mirrored=%d seconds=%.4f",
-        "kicked" if kicked else "dense", k * k, k * k - mirrored, mirrored, time.perf_counter() - start,
+        "build_noisy_propagator branch=%s dim=%d dtype=%s blocks_computed=%d blocks_mirrored=%d seconds=%.4f",
+        "kicked" if kicked else "dense", k * k, blocks.dtype, k * k - mirrored, mirrored, time.perf_counter() - start,
     )
     return tp
 

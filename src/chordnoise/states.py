@@ -99,8 +99,10 @@ def wigner_overlap(w1: np.ndarray, w2: np.ndarray) -> float:
     With the 1/2N point-operator normalization the full-grid product
     satisfies N * sum_x W1(x) W2(x) = Tr(rho1 rho2); the constant N is pinned
     by a test against Tr(rho1 rho2) taken on the density matrices. Both
-    tables must be (2N, 2N) with N >= 2, as wigner_function returns them.
+    tables must be (2N, 2N) with N >= 2, as wigner_function returns them;
+    each is read with np.asarray, so nested lists work.
     """
+    w1, w2 = np.asarray(w1), np.asarray(w2)
     if w1.shape != w2.shape:
         raise ValueError(f"Wigner grids of shapes {w1.shape} and {w2.shape} live on different tori")
     side = w1.shape[0] if w1.ndim == 2 else 0

@@ -110,13 +110,19 @@ def test_integer_entries_may_be_numpy_ints():
     assert np.array_equal(line_points(TorusGeometry(8), *np.array([1, 1, 0])), line_points(TorusGeometry(8), 1, 1, 0))
 
 
+_PI = 4 * np.arctan(np.longdouble(1))
+
+
 def _kernel(m, n):
-    """The two kernels as formulas, applied to any map; None where neither applies."""
-    k = np.arange(n)
+    """The two kernels as formulas, applied to any map, in long double; None where neither applies.
+
+    In float64 the formula itself is up to 4.5e-14 off at N <= 25, where its phase reaches ~200.
+    """
+    k = np.arange(n, dtype=np.longdouble)
     if m.b != 0:
-        return np.exp(1j * np.pi * (m.a * k[None, :] ** 2 - 2 * np.outer(k, k) + m.d * k[:, None] ** 2) / (n * m.b)) / np.sqrt(n)
+        return np.exp(1j * _PI * (m.a * k[None, :] ** 2 - 2 * np.outer(k, k) + m.d * k[:, None] ** 2) / (n * m.b)) / np.sqrt(np.longdouble(n))
     if (m.a, m.d) == (1, 1):
-        return np.diag(np.exp(1j * np.pi * m.c * k**2 / n))
+        return np.diag(np.exp(1j * _PI * m.c * k**2 / n))
     return None
 
 
@@ -152,6 +158,33 @@ def test_quantization_rule_matches_the_kernel():
                 assert_allclose(got, u, rtol=0, atol=1e-15)
             verdicts.append(works)
     assert (len(verdicts), sum(verdicts)) == (2784, 1032)
+
+
+def _is_parity_symmetric(a):
+    """a[-i, -j] == a[i, j] for all i, j mod N, exactly."""
+    return np.array_equal(a, np.roll(a[::-1, ::-1], 1, axis=(0, 1)))
+
+
+def test_kernels_and_kick_are_parity_symmetric_bit_for_bit():
+    # exactly, not to rounding: build_noisy_propagator stores a real window
+    # for a parity-symmetric u, and only for one
+    accepted = 0
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
+        if a * d - b * c != 1:
+            continue
+        for n in range(2, 26):
+            try:
+                u = quantize_linear_map(TorusGeometry(n), LinearMapSpec(a, b, c, d))
+            except ValueError:
+                continue
+            accepted += 1
+            assert _is_parity_symmetric(u), ((a, b, c, d), n)
+    assert accepted == 1032
+    for n in (64, 100, 128, 400):
+        assert _is_parity_symmetric(quantize_linear_map(TorusGeometry(n), CAT)), n
+    for n in (2, 5, 64, 99, 100, 128, 400):
+        for k in (0.02, 0.3, 1.0, 7.5):
+            assert _is_parity_symmetric(nonlinear_kick(TorusGeometry(n), k)), (n, k)
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,15 @@ def _standard_setup(n=100, sigma=0.063, k=0.02):
     return g, u, make_gaussian(g, sigma)
 
 
+def _kicked_u(g, k):
+    """U_M K for the cat map, formed elementwise: parity symmetric bit for bit.
+
+    U_M @ K is too on some BLAS builds and N, not all: OpenBLAS leaves ~1e-17
+    asymmetry at N = 2 mod 4, and such a u takes the complex path.
+    """
+    return quantize_linear_map(g, CAT) * np.diag(nonlinear_kick(g, k))
+
+
 def _records(caplog):
     """The key=value fields of each chordnoise.spectral record, its free text after 'reason: ' as 'reason'."""
     out = []
@@ -135,13 +144,18 @@ def test_kicked_map_matches_the_dense_build(n):
 
 
 def test_kicked_window_is_real():
-    # the even kick makes every KickedMap entry real and the Gaussian's Sigma is
-    # real, so the window is float64; the dense-u route keeps a complex window
-    g, u, ch = _standard_setup()
+    # the even kick makes every window entry real and the Gaussian's Sigma is
+    # real, so the window is float64, from a KickedMap or from a parity-symmetric
+    # dense u; a Haar unitary is not parity symmetric and keeps a complex window
+    g, _, ch = _standard_setup()
     tp = build_noisy_propagator(ch, KickedMap(CAT, 0.02), 2.8)
-    dense = build_noisy_propagator(ch, u, 2.8)
-    assert tp.matrix.dtype == np.float64 and dense.matrix.dtype == np.complex128
-    assert np.abs(tp.matrix - dense.matrix).max() < 1e-12
+    dense = build_noisy_propagator(ch, _kicked_u(g, 0.02), 2.8)
+    assert tp.matrix.dtype == np.float64 and dense.matrix.dtype == np.float64
+    assert np.abs(tp.matrix - dense.matrix).max() < 2e-15
+    z = np.random.default_rng(11).standard_normal((2, 100, 100))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    haar = q * (np.diag(r) / np.abs(np.diag(r)))
+    assert build_noisy_propagator(ch, haar, 2.8).matrix.dtype == np.complex128
 
 
 def test_kicked_map_is_refused_where_quantization_is():
@@ -204,19 +218,20 @@ def test_dense_build_holds_no_copy_of_u_per_block():
 
 def test_build_logs_its_branch_and_blocks(caplog):
     # k = 10 kept offsets per axis: 19 blocks touch the edge q = -5 and are
-    # computed, the other 81 pair up by (q', q) <-> (-q', -q) around (0, 0)
-    _, u, ch = _standard_setup()
+    # computed, the other 81 pair up by (q', q) <-> (-q', -q) around (0, 0);
+    # the dtype is float64 for the parity-symmetric u, complex128 for a translation
+    g, _, ch = _standard_setup()
     odd = make_gaussian(TorusGeometry(9), 0.2)
     caplog.set_level(logging.DEBUG, logger="chordnoise.spectral")
-    build_noisy_propagator(ch, u, 2.0)
+    build_noisy_propagator(ch, _kicked_u(g, 0.02), 2.0)
     build_noisy_propagator(ch, KickedMap(CAT, 0.02), 2.0)
     build_noisy_propagator(odd, translation_operator(odd.geometry, (1, 0)), 6.5)  # covers the grid, no edge
     records = _records(caplog)
     assert len(records) == 3
     dense, kicked, covering = records
-    assert dense.items() >= {"branch": "dense", "dim": "100", "blocks_computed": "60", "blocks_mirrored": "40"}.items()
-    assert kicked.items() >= {"branch": "kicked", "dim": "100", "blocks_computed": "100", "blocks_mirrored": "0"}.items()
-    assert covering.items() >= {"branch": "dense", "dim": "81", "blocks_computed": "41", "blocks_mirrored": "40"}.items()
+    assert dense.items() >= {"branch": "dense", "dim": "100", "dtype": "float64", "blocks_computed": "60", "blocks_mirrored": "40"}.items()
+    assert kicked.items() >= {"branch": "kicked", "dim": "100", "dtype": "float64", "blocks_computed": "100", "blocks_mirrored": "0"}.items()
+    assert covering.items() >= {"branch": "dense", "dim": "81", "dtype": "complex128", "blocks_computed": "41", "blocks_mirrored": "40"}.items()
     assert all(float(r["seconds"]) >= 0 for r in records)
 
 
@@ -269,6 +284,15 @@ def test_kept_modes_frozen_in_place():
     mat = np.eye(4, dtype=complex)
     frozen = TruncatedPropagator(kept, mat)
     assert frozen.kept_modes is kept and frozen.matrix is mat  # no copy
+
+
+def test_propagator_reads_lists_and_refuses_bad_shapes():
+    # lists once raised AttributeError from setflags
+    tp = TruncatedPropagator([[0, 0]], [[1.0]])
+    assert tp.dim == 1 and not tp.kept_modes.flags.writeable and not tp.matrix.flags.writeable
+    for kept, mat in (([0, 0], [[1.0]]), ([[0, 0, 0]], [[1.0]]), ([[0, 0]], [1.0]), (0, 1.0)):
+        with pytest.raises(ValueError, match=r"need \(dim, 2\) and \(dim, dim\)"):
+            TruncatedPropagator(kept, mat)
 
 
 def test_build_rejects_non_unitary_map():
@@ -429,6 +453,16 @@ def test_count_that_splits_a_conjugate_pair():
     _, _, ch = _standard_setup()
     tp = build_noisy_propagator(ch, KickedMap(CAT, 1.0), 4.8)
     dense = SpectrumResult(sort_by_modulus(np.linalg.eigvals(tp.matrix)))
+    assert stability_report(leading_spectrum(tp, 20), dense, 20) <= 1e-12
+
+
+def test_dense_u_keeps_a_conjugate_pair_whole():
+    # the case above from a dense u, whose complex window once split the pair:
+    # 5.3e-2 between the Krylov and dense solves; the window is real now
+    g, _, ch = _standard_setup()
+    tp = build_noisy_propagator(ch, _kicked_u(g, 1.0), 4.8)
+    dense = SpectrumResult(sort_by_modulus(np.linalg.eigvals(tp.matrix)))
+    assert tp.matrix.dtype == np.float64
     assert stability_report(leading_spectrum(tp, 20), dense, 20) <= 1e-12
 
 

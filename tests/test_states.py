@@ -205,6 +205,14 @@ def test_wigner_overlap_requires_a_2n_square_grid(shape):
     assert wigner_overlap(w, w) == pytest.approx(0.5)  # smallest torus: Tr(rho^2) of I/2
 
 
+def test_wigner_overlap_reads_nested_lists():
+    # lists once raised AttributeError reading .shape
+    w = wigner_function(np.eye(2) / 2)
+    assert wigner_overlap(w.tolist(), w.tolist()) == wigner_overlap(w, w)
+    with pytest.raises(ValueError, match=r"\(2N, 2N\)"):
+        wigner_overlap([[0.0] * 3] * 3, [[0.0] * 3] * 3)
+
+
 def test_coherent_wigner_blob_location():
     g = TorusGeometry(32)
     w = wigner_function(density_from_pure(coherent_state(g, 0.4, 0.25)))
