@@ -146,9 +146,10 @@ def _gaussian_factor(n: int, sigma: float) -> np.ndarray:
 
     The FFT leaves f even only up to rounding; averaging f with its mirror
     f[-k mod N] makes f[k] == f[N - k] bit for bit, so the weights f f^T are
-    exactly even and channel_spectrum returns them a real spectrum.
+    exactly even and channel_spectrum returns them a real spectrum. g is taken at
+    min(sigma, 1e100), keeping sigma**2 finite: any sigma >= 10 gives g(mu != 0) = 0.
     """
-    g = np.exp(-2.0 * np.pi**2 * sigma**2 * _centered(np.arange(n), n) ** 2)
+    g = np.exp(-2.0 * np.pi**2 * min(sigma, 1e100) ** 2 * _centered(np.arange(n), n) ** 2)
     f = np.fft.fft(g).real / np.sqrt(n)
     return (f + np.roll(f[::-1], 1)) / 2
 

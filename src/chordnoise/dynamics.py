@@ -128,8 +128,11 @@ def quantize_linear_map(geom: TorusGeometry, m: LinearMapSpec) -> np.ndarray:
 
 
 def _kick_phase(n: int, k: float) -> np.ndarray:
-    """Kick phases phi(j) = -(k N / 2 pi) cos(2 pi j / N) for j = 0..N-1."""
-    return -(_real(k, "kick strength") * n / (2 * np.pi)) * np.cos(2 * np.pi * np.arange(n) / n)
+    """Kick phases phi(j) = -(k N / 2 pi) cos(2 pi j / N) for j = 0..N-1; ValueError unless k N / 2 pi is finite."""
+    amp = _real(k, "kick strength") * n / (2 * np.pi)
+    if not np.isfinite(amp):
+        raise ValueError(f"kick strength {k} at N={n} makes k N / 2 pi = {amp}, past the float range")
+    return -amp * np.cos(2 * np.pi * np.arange(n) / n)
 
 
 def nonlinear_kick(geom: TorusGeometry, k: float) -> np.ndarray:

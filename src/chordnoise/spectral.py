@@ -62,12 +62,12 @@ E(lam', lam) = s(lam') s(lam) E(m(lam'), m(lam)), and the mirror identity
 gives the same right side conjugated, so E = conj E. quantize_linear_map
 and nonlinear_kick are parity symmetric bit for bit, and so is U_M K formed
 elementwise; the check is exact, on reversed views of u, not a tolerance.
-Rows q' and -q' are computed together in a complex staging buffer of 2 k^3
-values and scaled there by Sigma / N and the half-phases; the window keeps
-their real part and is float64, or keeps them whole and is complex128 for
-any other u (a Haar unitary, a translation) or a complex Sigma. At N=100,
-sigma=0.063, k=0.02 the float64 dense entries lie 7e-16 from the kicked
-ones, which lie 2e-16 from the window evaluated in extended precision.
+Each block, computed or mirrored, is scaled by Sigma / N and the
+half-phases as it is written; the window keeps its real part and is
+float64, or keeps it whole and is complex128 for any other u (a Haar
+unitary, a translation) or a complex Sigma. At N=100, sigma=0.063, k=0.02
+the float64 dense entries lie 7e-16 from the kicked ones, which lie 2e-16
+from the window evaluated in extended precision.
 
 The leading eigenvalues come from an Arnoldi iteration on the window matrix,
 in the window's own dtype, whose Krylov space grows by a quarter after each
@@ -164,7 +164,7 @@ def _window(ch: DiagonalChordChannel, a_coeff: float) -> tuple[np.ndarray, np.nd
         raise ValueError("a channel with sigma None has no window; its full propagator is "
                          "channel_spectrum(ch).values.ravel()[:, None] * oracles.chord_supermatrix(geom, u)")
     n = ch.geometry.n
-    w = int(np.floor(a_coeff / (2 * np.pi * ch.sigma)))
+    w = int(np.floor(min(a_coeff / (2 * np.pi * ch.sigma), n)))  # an inf ratio passes too; W >= N/2 covers the grid
     if w < 1:
         raise ValueError(f"window floor(a/(2 pi sigma)) = {w} keeps no modes; increase a_coeff")
     offs = np.arange(max(-w, -(n // 2)), min(w, (n + 1) // 2)) % n
@@ -181,10 +181,9 @@ def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> tup
     Block (q', q) is F M F^dag over the symmetric momenta [-E, E] that hold
     the kept ones and their negatives, so it also gives block (-q', -q) by the
     mirror identity of the module docstring; a block whose mirror is not kept
-    (q' or q at the window's lower edge) is computed on its own. Rows q' and
-    -q' are filled together in a complex staging buffer, scaled there, and
-    written to the window, which is float64 when Sigma is real and u is
-    parity symmetric (the module docstring), complex128 otherwise.
+    (q' or q at the window's lower edge) is computed on its own. Each block
+    is scaled as it is written to the window, which is float64 when Sigma is
+    real and u is parity symmetric (the module docstring), complex128 otherwise.
     """
     n, k = len(u), len(offs)
     cen = _centered(offs, n).tolist()  # ascending
@@ -202,31 +201,25 @@ def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> tup
     row_scale = sigma * half.conj() / n
     index = {q: i for i, q in enumerate(cen)}
     blocks = np.empty((k, k, k, k), dtype=float if real else complex)  # [q', p', q, p]
-    stage = np.empty((2, k, k, k), dtype=complex)  # rows q' and -q' of blocks
     mirrored = 0
     for i, qr in enumerate(cen):
         mi = index.get(-qr)
-        if qr < 0 and mi is not None:
-            continue  # staged with row -q'
-        rows = [i] if mi in (None, i) else [i, mi]  # row r is staged at slot s, its mirror at the other
-        for s, r in enumerate(rows):
-            q, ms = cen[r], len(rows) - 1 - s
-            for j, qc in enumerate(cen):
-                mj = index.get(-qc)
-                paired = mi is not None and mj is not None
-                if paired and (q, qc) < (-q, -qc):
-                    continue  # filled from block (-q', -q)
-                # buf[a, d] = conj(u[a + q', d + q]) u[a, d] = conj M[a, d], so b = conj(F M F^dag)
-                np.multiply(ubar[e + q : e + q + n, e + qc : e + qc + n], u, out=buf)
-                b = fbar @ buf @ f.T
-                np.conjugate(b[keep, keep], out=stage[s, :, j, :])
-                if paired and (rows[ms], mj) != (r, j):
-                    np.multiply(b[::-1, ::-1][keep, keep], np.outer(rot[r], rot[j].conj()), out=stage[ms, :, mj, :])
-                    mirrored += 1
-        staged = stage[: len(rows)]
-        staged *= row_scale[rows][:, :, None, None]
-        staged *= half
-        blocks[rows] = staged.real if real else staged
+        for j, qc in enumerate(cen):
+            mj = index.get(-qc)
+            paired = mi is not None and mj is not None
+            if paired and (qr, qc) < (-qr, -qc):
+                continue  # filled from block (-q', -q)
+            # buf[a, d] = conj(u[a + q', d + q]) u[a, d] = conj M[a, d], so b = conj(F M F^dag)
+            np.multiply(ubar[e + qr : e + qr + n, e + qc : e + qc + n], u, out=buf)
+            b = fbar @ buf @ f.T
+            filled = [(i, j, b[keep, keep].conj())]  # (row, column, block indexed [p', p])
+            if paired and (mi, mj) != (i, j):
+                filled.append((mi, mj, b[::-1, ::-1][keep, keep] * np.outer(rot[i], rot[j].conj())))
+                mirrored += 1
+            for r, c, block in filled:
+                block *= row_scale[r][:, None]
+                block *= half[c]
+                blocks[r, :, c] = block.real if real else block
     return blocks, mirrored
 
 
@@ -266,8 +259,8 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     be numeric, finite and unitary; its entries come from the bilinear form, O(k N^2)
     per (q', q) block, O(k^3 N^2) in all, with about half the blocks filled
     from their mirror (-q', -q) by conjugation; besides the window it holds
-    conj(u) padded by the window's half-width, one N x N buffer and 2 k^3
-    staged entries. Its window is float64 when Sigma is real and u is parity
+    conj(u) padded by the window's half-width, one N x N buffer and a block
+    and its mirror. Its window is float64 when Sigma is real and u is parity
     symmetric bit for bit, as quantize_linear_map(...) * np.diag(nonlinear_kick(...))
     is, and complex128 otherwise.
     The window follows the module convention: dimension min(4 W^2, N^2),

@@ -231,6 +231,18 @@ def test_gaussian_wide_limit_is_depolarizing():
     assert_allclose(ch.weights, np.full((16, 16), 1.0 / 16), atol=1e-12)
 
 
+def test_gaussian_width_past_the_float_range_is_the_uniform_limit():
+    # sigma**2 overflows past ~1.3e154, and every sigma >= 10 already gives
+    # g(mu != 0) = 0 exactly, so each width here has the weights of sigma = 10
+    g = TorusGeometry(8)
+    ref = make_gaussian(g, 10.0)
+    for sigma in (1e100, 1e150, 1e200, np.finfo(float).max):
+        ch = make_gaussian(g, sigma)
+        assert ch.sigma == sigma
+        assert np.array_equal(ch.weights, ref.weights)
+        assert np.array_equal(channel_spectrum(ch).values, channel_spectrum(ref).values)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_noise_rejected(bad):
     g = TorusGeometry(8)

@@ -298,6 +298,34 @@ def test_non_finite_flags_are_errors(tmp_path, capsys, bad):
         assert err.startswith("error:") and "finite" in err, err
 
 
+@pytest.mark.parametrize("argv, dim, count", [
+    (["propagator-spectrum", "--n", "8", "--sigma", "1e-310"], 64, 64),
+    (["propagator-spectrum", "--n", "8", "--sigma", "0.14", "--a-coeff", "1.7e308"], 64, 64),
+    (["channel-spectrum", "--n", "8", "--family", "gaussian", "--sigma", "1e200"], None, 8 * 8),
+    (["evolve", "--n", "8", "--family", "gaussian", "--sigma", "1e200"], None, 16 * 16),
+])
+def test_flags_past_the_float_range_run(tmp_path, argv, dim, count):
+    # a/(2 pi sigma) is inf in both windows (0.13 is the narrowest Gaussian sigma
+    # at N = 8), which cover the grid; sigma**2 overflows at sigma = 1e200
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    config, _, rows = _read_csv(out)
+    assert config.get("dim") == dim
+    assert len(rows) == count and np.isfinite(rows).all()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "1e308"], "error: kick strength 1e+308 at N=8"),
+    (["--sigma", "1e200"], "error: window floor(a/(2 pi sigma)) = 0 keeps no modes"),
+])
+def test_flags_past_the_float_range_are_errors(tmp_path, capsys, flags, message):
+    # k N overflows at --k 1e308, which would make the kick phases NaN
+    out = tmp_path / "x.csv"
+    assert main(["propagator-spectrum", "--n", "8", "--sigma", "0.3", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_text_format_pinned(tmp_path, fmt):
     # index columns print as integers and every value round-trips exactly

@@ -290,6 +290,20 @@ def test_kick_basics():
     assert_allclose(k @ t, t @ k, atol=1e-14)
 
 
+@pytest.mark.parametrize("k", [1e308, -1e308])
+def test_kick_past_the_float_range_is_refused(k):
+    # k N / 2 pi is inf at N = 8 (k N overflows first), which would make the kick phases NaN
+    g = TorusGeometry(8)
+    with pytest.raises(ValueError, match="kick strength"):
+        nonlinear_kick(g, k)
+    with pytest.raises(ValueError, match="kick strength"):
+        build_noisy_propagator(make_gaussian(g, 0.3), KickedMap(CAT, k), 2.0)
+    # the largest k with k N finite still gives a unitary kick and a finite window
+    top = np.copysign(np.finfo(float).max / 8, k)
+    assert_allclose(np.abs(np.diag(nonlinear_kick(g, top))), np.ones(8), atol=1e-15)
+    assert np.isfinite(build_noisy_propagator(make_gaussian(g, 0.3), KickedMap(CAT, top), 9.5).matrix).all()
+
+
 def test_supermatrix_identity():
     g = TorusGeometry(6)
     s = chord_supermatrix(g, np.eye(6, dtype=complex))

@@ -25,7 +25,7 @@ from chordnoise import (
     stability_report,
     translation_operator,
 )
-from chordnoise.spectral import _WINDOW_BYTES_BUDGET, SpectrumResult, TruncatedPropagator, _bilinear_entries
+from chordnoise.spectral import _WINDOW_BYTES_BUDGET, SpectrumResult, TruncatedPropagator, _bilinear_entries, _window
 from chordnoise.oracles import ORACLE_N_CAP, chord_supermatrix
 
 CAT = LinearMapSpec(1, 1, 1, 2)
@@ -89,6 +89,18 @@ def test_window_covering_the_grid_is_clipped_without_warning():
     centered = np.arange(-5, 5) % 10
     expect = np.stack(np.meshgrid(centered, centered, indexing="ij"), axis=-1).reshape(-1, 2)
     assert np.array_equal(tp.kept_modes, expect)
+
+
+@pytest.mark.parametrize("sigma, a_coeff, covering", [(1e-310, 2.0, 1e-300), (0.14, 1.7e308, 9.5)])
+def test_window_ratio_past_the_float_range_covers_the_grid(sigma, a_coeff, covering):
+    # a/(2 pi sigma) is inf for both, past int's range; the window is the one
+    # a finite ratio past N/2 = 4 gives, covering the grid
+    g = TorusGeometry(8)
+    ch = make_gaussian(g, sigma)
+    for evolution in (_kicked_u(g, 0.02), KickedMap(CAT, 0.02)):
+        tp = build_noisy_propagator(ch, evolution, a_coeff)
+        assert tp.dim == 64
+        assert np.array_equal(tp.matrix, build_noisy_propagator(ch, evolution, covering).matrix)
 
 
 def test_no_sigma_is_refused():
@@ -214,6 +226,20 @@ def test_dense_build_holds_no_copy_of_u_per_block():
     assert tp.dim == 36
     assert entries_peak < tp.matrix.nbytes + 2.5 * unitary
     assert build_peak < tp.matrix.nbytes + 3.25 * unitary
+    # N = 100, sigma = 0.04, a = 4.8: W = 19 (k = 38, dim 1,444). Besides the window the entries
+    # hold the padded conj(u), the product buffer, F, conj(F) and a block and its mirror, ~0.9 MB;
+    # staging rows q' and -q', 2 k^3 complex entries, would add 1.76 MB
+    g = TorusGeometry(100)
+    u = _kicked_u(g, 0.2)
+    offs, sigma = _window(make_gaussian(g, 0.04), 4.8)
+    tracemalloc.start()
+    try:
+        blocks, _ = _bilinear_entries(u, offs, sigma)
+        beyond_window = tracemalloc.get_traced_memory()[1] - blocks.nbytes
+    finally:
+        tracemalloc.stop()
+    assert blocks.shape == (38,) * 4 and blocks.dtype == np.float64
+    assert beyond_window < 1.0e6
 
 
 def test_build_logs_its_branch_and_blocks(caplog):
