@@ -31,30 +31,50 @@ from .states import cat_state, density_from_pure, wigner_function
 __all__ = ["main"]
 
 
-# rows per json.dumps call: C-encoder speed with a bounded temporary
-_JSON_CHUNK_ROWS = 4096
+# rows per chunk: each distinct magnitude in a chunk's column is formatted
+# once, and no encoding of the whole table is held at once
+_CHUNK_ROWS = 4096
+
+
+def _tokens(values: np.ndarray, fmt: str):
+    """The csv (str) or json text of each value, formatting each distinct magnitude once, in C.
+
+    A '-' goes before every value whose sign bit is set, NaN aside, which is
+    how str and json.dumps write -0.0, -inf and negative numbers.
+    """
+    mags, inverse = np.unique(np.abs(values), return_inverse=True)
+    mags = mags.tolist()
+    text = np.array(list(map(str, mags)) if fmt == "csv" else json.dumps(mags)[1:-1].split(", "), dtype=object)
+    tokens = text[inverse]
+    neg = np.signbit(values) & ~np.isnan(values)
+    tokens[neg] = "-" + tokens[neg]
+    return tokens.tolist()
 
 
 def _write_table(path: str, fmt: str, config: dict, header: list, columns: list) -> None:
-    """Write equal-length columns of ints and floats as a csv or json table.
+    """Write equal-length columns as a csv or json table.
 
-    The bytes are those that csv.writer (default dialect) and json.dump write
-    for the same rows, but every value is formatted in C: csv fields by str,
-    json rows by json.dumps, whose C encoder json.dump never uses. json rows
-    go out in chunks, so no encoding of the whole table is held at once.
+    Each column is read with np.asarray, so it must hold only ints or only
+    floats. The bytes are those that csv.writer (default dialect) and
+    json.dump write for the same rows, but rows go out in chunks of
+    _CHUNK_ROWS, in each of which a column formats each distinct magnitude
+    once: csv fields by str, json values by json.dumps, whose C encoder
+    json.dump never uses.
     """
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="" if fmt == "csv" else None) as fh:
+        if fmt == "csv":
             fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
             fh.write(",".join(header) + "\r\n")
-            fh.writelines(",".join(fields) + "\r\n" for fields in zip(*(map(str, c) for c in columns)))
-    else:
-        with open(path, "w") as fh:
+        else:
             head = json.dumps({"config": config, "columns": header, "rows": []})
             fh.write(head[:-2])  # drop the ']}' that closes the empty rows list
-            for i in range(0, len(columns[0]), _JSON_CHUNK_ROWS):
-                rows = json.dumps(list(zip(*(c[i : i + _JSON_CHUNK_ROWS] for c in columns))))
-                fh.write(rows[1:-1] if i == 0 else ", " + rows[1:-1])
+        for i in range(0, len(columns[0]), _CHUNK_ROWS):
+            fields = zip(*(_tokens(np.asarray(c[i : i + _CHUNK_ROWS]), fmt) for c in columns))
+            if fmt == "csv":
+                fh.write("\r\n".join(map(",".join, fields)) + "\r\n")
+            else:
+                fh.write(("[" if i == 0 else ", [") + "], [".join(map(", ".join, fields)) + "]")
+        if fmt == "json":
             fh.write("]}\n")
 
 
@@ -106,9 +126,8 @@ def _config(args) -> dict:
 
 
 def _grid_columns(*grids) -> list:
-    """jq, jp and one column per grid over equally shaped 2-D grids, row-major, as Python scalars."""
-    index = np.indices(grids[0].shape).reshape(2, -1)
-    return [*index.tolist(), *(g.ravel().tolist() for g in grids)]
+    """jq, jp and one column per grid over equally shaped 2-D grids, row-major, as 1-D arrays."""
+    return [*np.indices(grids[0].shape).reshape(2, -1), *(g.ravel() for g in grids)]
 
 
 def _numbers(raw: str, flag: str, kind: type, count: int) -> list:

@@ -8,7 +8,10 @@ convention with dimension extended to 2N: point operators
 
 where U shifts position by one, V boosts momentum by one and R is parity.
 Traces against these give a real 2N x 2N table for Hermitian input whose sum
-over the full grid equals Tr(rho). Half of the grid points carry the
+over the full grid equals Tr(rho). Its quadrants are exact sign copies of
+the N x N block: W[q + aN, p + bN] = (-1)^(bq + ap + abN) W[q, p] for
+q, p < N and a, b in {0, 1}, since exp(i*pi*(q+aN)(p+bN)/N) =
+(-1)^(bq + ap + abN) exp(i*pi*q*p/N). Half of the grid points carry the
 interference between periodic images; on even-N tori the even-even subgrid
 alone also sums to Tr(rho).
 """
@@ -72,7 +75,10 @@ def wigner_function(rho: np.ndarray) -> np.ndarray:
     Computed with one FFT per anti-diagonal of rho:
     Tr(rho U^q R V^(-p)) = sum_k rho[k, (q-k) mod N] exp(-2*pi*i*k*p/N),
     which depends on (q, p) only mod N; the half-integer structure enters
-    through the prefactor exp(i*pi*q*p/N). Raises on non-Hermitian or
+    through the prefactor exp(i*pi*q*p/N). That prefactor is evaluated on
+    the N x N block only, at the phase (q*p mod 2N), and the other three
+    quadrants are the block times exact signs: W[q + aN, p + bN] ==
+    (-1)^(bq + ap + abN) * W[q, p] bit for bit. Raises on non-Hermitian or
     non-finite input, for which the trace is not a real number.
     """
     rho = np.asarray(rho)
@@ -85,10 +91,13 @@ def wigner_function(rho: np.ndarray) -> np.ndarray:
     m = np.arange(n)
     anti = rho[m[None, :], (m[:, None] - m[None, :]) % n]
     f = np.fft.fft(anti, axis=1)
-    qq = np.arange(2 * n)[:, None]
-    pp = np.arange(2 * n)[None, :]
-    w = np.exp(1j * np.pi * qq * pp / n) * f[qq % n, pp % n] / (2 * n)
-    w = np.ascontiguousarray(w.real)
+    block = (np.exp(1j * np.pi * (np.outer(m, m) % (2 * n)) / n) * f).real / (2 * n)
+    s = 1.0 - 2.0 * (m % 2)  # (-1)^j for j = 0..N-1
+    w = np.empty((2 * n, 2 * n))
+    w[:n, :n] = block
+    w[:n, n:] = block * s[:, None]
+    w[n:, :n] = block * s[None, :]
+    w[n:, n:] = block * ((-1.0) ** n * np.outer(s, s))
     w.setflags(write=False)
     return w
 

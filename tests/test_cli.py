@@ -28,7 +28,7 @@ from chordnoise import (
     quantize_linear_map,
     wigner_function,
 )
-from chordnoise.cli import _write_table, main
+from chordnoise.cli import _grid_columns, _write_table, main
 
 
 def _read_csv(path):
@@ -550,6 +550,23 @@ def test_write_table_non_finite_and_short_tables(tmp_path, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_signs_and_specials_across_chunks(tmp_path, fmt):
+    # the writer formats each distinct magnitude of a chunk once and prefixes the sign
+    rows = chordnoise.cli._CHUNK_ROWS + 1000
+    ints = np.arange(rows) - rows // 2  # -5 and 5 share the first chunk; -2000 and 2000 do not
+    w = np.random.default_rng(5).normal(size=rows)
+    w[20], w[rows - 1] = -w[10], -w[30]  # a value and its negative in one chunk, and in two
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1)]
+    w[40:46], w[-10:-4] = special, special[::-1]
+    columns = [ints, w, ints.tolist(), w.tolist()]
+    header = ["i", "w", "i_list", "w_list"]
+    out, ref = tmp_path / f"t.{fmt}", tmp_path / f"r.{fmt}"
+    _write_table(str(out), fmt, {"rows": rows}, header, columns)
+    _reference_table(ref, fmt, {"rows": rows}, header, list(zip(*(np.asarray(c).tolist() for c in columns))))
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_writer_memory_stays_below_file_size(tmp_path, fmt):
     # the table is streamed: neither json.dump (pure Python) nor one json.dumps of the
     # whole document, both of which peaked at about three times the file size
@@ -559,6 +576,20 @@ def test_writer_memory_stays_below_file_size(tmp_path, fmt):
     tracemalloc.start()
     try:
         _write_table(str(out), fmt, {"n": n}, ["jq", "jp", "w"], columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size, (peak, out.stat().st_size)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_memory_stays_below_file_size_on_a_wigner_table(tmp_path, fmt):
+    # a grid's columns repeat magnitudes; their shared text is still held one chunk at a time
+    columns = _grid_columns(wigner_function(_cat(128)))
+    out = tmp_path / f"wigner.{fmt}"
+    tracemalloc.start()
+    try:
+        _write_table(str(out), fmt, {"n": 128}, ["jq", "jp", "w"], columns)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

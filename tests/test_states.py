@@ -117,6 +117,22 @@ def test_wigner_matches_point_operator_oracle():
             assert w[q, p] == pytest.approx(tr.real, abs=1e-13)
 
 
+@pytest.mark.parametrize("state", ["random", "cat"])
+@pytest.mark.parametrize("n", [2, 5, 8, 33, 128])
+def test_wigner_quadrants_are_exact_sign_copies(n, state):
+    # W[q + aN, p + bN] = (-1)^(bq + ap + abN) W[q, p], bit for bit; odd N covers the abN term
+    if state == "random":
+        rho = _random_density(np.random.default_rng(n), n)
+    else:
+        rho = density_from_pure(cat_state(TorusGeometry(n), (0.4, 0.25), (0.6, 0.75)))
+    w = wigner_function(rho)
+    q = np.arange(n)
+    for a in (0, 1):
+        for b in (0, 1):
+            sign = (-1.0) ** (b * q[:, None] + a * q[None, :] + a * b * n)
+            assert np.array_equal(w[a * n : (a + 1) * n, b * n : (b + 1) * n], sign * w[:n, :n]), (a, b)
+
+
 @pytest.mark.parametrize("n", [5, 8, 32])
 def test_wigner_full_grid_sums_to_trace(n):
     rho = _random_density(np.random.default_rng(n), n)
