@@ -3,8 +3,11 @@
 Subcommands build a channel, a state or a propagator from flags, run one
 experiment and serialize the result for external plotting. CSV files carry a
 leading '# config: ...' comment with the full configuration and a header
-naming the columns; JSON files carry the same three pieces as keys. No
-plotting here on purpose.
+naming the columns; JSON files carry the same three pieces as keys. Every
+table goes through one writer, _write_table: its bytes are those of
+csv.writer and json.dump, it formats each distinct magnitude of a column
+once and assembles rows as bytes in numpy, and on large grids its memory
+stays below the file size. No plotting here on purpose.
 """
 
 from __future__ import annotations
@@ -31,51 +34,146 @@ from .states import cat_state, density_from_pure, wigner_function
 __all__ = ["main"]
 
 
-# rows per chunk: each distinct magnitude in a chunk's column is formatted
-# once, and no encoding of the whole table is held at once
-_CHUNK_ROWS = 4096
+# rows per chunk: a chunk's rows are assembled as one bytes matrix, and no
+# encoding of the whole table is held at once
+_CHUNK_ROWS = 2048
+
+# the longest str of a float64 magnitude, '1.7976931348623157e+308'
+_FLOAT_WIDTH = 23
 
 
-def _tokens(values: np.ndarray, fmt: str):
-    """The csv (str) or json text of each value, formatting each distinct magnitude once, in C.
+def _text(values: np.ndarray, fmt: str, width: int) -> np.ndarray:
+    """The csv or json text of int64 values or float64 magnitudes, in a bytes array of the given width.
 
-    A '-' goes before every value whose sign bit is set, NaN aside, which is
-    how str and json.dumps write -0.0, -inf and negative numbers.
+    Each value is formatted by str, one at a time, so no list of its text is
+    held. json.dumps writes a float as its repr, which is its str, except
+    that it writes inf and nan as Infinity and NaN.
     """
-    mags, inverse = np.unique(np.abs(values), return_inverse=True)
-    mags = mags.tolist()
-    text = np.array(list(map(str, mags)) if fmt == "csv" else json.dumps(mags)[1:-1].split(", "), dtype=object)
-    tokens = text[inverse]
-    neg = np.signbit(values) & ~np.isnan(values)
-    tokens[neg] = "-" + tokens[neg]
-    return tokens.tolist()
+    text = np.fromiter(map(str, values.tolist()), f"S{width}", len(values))
+    if fmt == "json" and values.dtype == np.float64:
+        text[np.isinf(values)] = b"Infinity"
+        text[np.isnan(values)] = b"NaN"
+    return text
+
+
+def _repeats(column, name: str, fmt: str) -> tuple:
+    """A column's dtype (int64 or float64), its keys that occur more than once, sorted, and their text.
+
+    A key is an int column's value or a float column's magnitude as its
+    int64 bits, so equal keys have equal text: -0.0 and 0.0 are one key, and
+    so is each NaN whatever its sign. The text's width is that of the
+    column's longest: exact for ints, _FLOAT_WIDTH for floats. The text of a
+    key is held only if the key is reused, so a column of distinct values
+    holds none.
+    """
+    keys = np.array(column)  # an owned copy, sorted in place below
+    ok = keys.ndim == 1 and (keys.dtype == np.float64 or keys.dtype.kind in "iu" and np.can_cast(keys.dtype, np.int64))
+    if ok and not isinstance(column, np.ndarray):
+        # numpy reads ints beside a float, or beside an int past int64, as floats, and bools beside ints as ints
+        ok = set(map(type, column)) <= ({float, np.float64} if keys.dtype == np.float64 else {int, np.int64})
+    if not ok:
+        raise ValueError(f"column {name!r} is not a run of only int64 or only float64 values")
+    if keys.dtype == np.float64:
+        dtype, width = keys.dtype, _FLOAT_WIDTH
+        keys = np.abs(keys, out=keys).view(np.int64)
+    else:
+        keys = keys.astype(np.int64, copy=False)
+        dtype, width = keys.dtype, max(len(str(keys.min())), len(str(keys.max()))) if len(keys) else 1
+    keys.sort()
+    eq = keys[1:] == keys[:-1]
+    eq[1:] &= ~eq[:-1]  # the first pair of each run of equal keys
+    rep = keys[:-1][eq]
+    del keys, eq
+    text = np.empty(len(rep), f"S{width}")
+    for j in range(0, len(rep), _CHUNK_ROWS):
+        text[j : j + _CHUNK_ROWS] = _text(rep[j : j + _CHUNK_ROWS].view(dtype), fmt, width)
+    return dtype, rep, text
+
+
+def _chunk_text(keys: np.ndarray, dtype: np.dtype, rep: np.ndarray, rep_text: np.ndarray, fmt: str) -> np.ndarray:
+    """The text of each key of a chunk: a repeated key's from rep_text, any other key's formatted here.
+
+    A key that is not in rep occurs once in its whole column, so no value is
+    formatted twice.
+    """
+    if not len(rep):
+        return _text(keys.view(dtype), fmt, rep_text.itemsize)
+    pos = np.searchsorted(rep, keys)
+    np.minimum(pos, len(rep) - 1, out=pos)
+    text = rep_text[pos]
+    new = rep[pos] != keys
+    text[new] = _text(keys[new].view(dtype), fmt, rep_text.itemsize)
+    return text
+
+
+def _rows(columns: list, prepared: list, start: int, fmt: str) -> np.ndarray:
+    """The bytes of rows start to start + _CHUNK_ROWS of the table.
+
+    They are assembled as one uint8 matrix, a line per row: in json a lead
+    ', [' (the table's first row drops its ', '), then per column a sign
+    byte (float columns only), the column's fixed-width text and a
+    separator, '\\r\\n' or ']' after the last. One mask then drops the
+    zero padding.
+    """
+    lead, sep, end = (b"", b",", b"\r\n") if fmt == "csv" else (b", [", b", ", b"]")
+    n = min(_CHUNK_ROWS, len(columns[0]) - start)
+    slots = sum((d == np.float64) + t.itemsize for d, _, t in prepared)
+    m = np.zeros((n, len(lead) + slots + len(sep) * (len(columns) - 1) + len(end)), np.uint8)
+    m[:, : len(lead)] = np.frombuffer(lead, np.uint8)
+    if lead and start == 0:
+        m[0, :2] = 0
+    o = len(lead)
+    for j, (c, (dtype, rep, rep_text)) in enumerate(zip(columns, prepared)):
+        keys = values = np.asarray(c[start : start + n], dtype=dtype)
+        if dtype == np.float64:
+            m[np.signbit(values) & ~np.isnan(values), o] = ord("-")
+            keys = np.abs(values).view(np.int64)
+            o += 1
+        w = rep_text.itemsize
+        m[:, o : o + w] = _chunk_text(keys, dtype, rep, rep_text, fmt).view(np.uint8).reshape(n, w)
+        tail = end if j == len(columns) - 1 else sep
+        m[:, o + w : o + w + len(tail)] = np.frombuffer(tail, np.uint8)
+        o += w + len(tail)
+    return m[m != 0]
 
 
 def _write_table(path: str, fmt: str, config: dict, header: list, columns: list) -> None:
     """Write equal-length columns as a csv or json table.
 
-    Each column is read with np.asarray, so it must hold only ints or only
-    floats. The bytes are those that csv.writer (default dialect) and
-    json.dump write for the same rows, but rows go out in chunks of
-    _CHUNK_ROWS, in each of which a column formats each distinct magnitude
-    once: csv fields by str, json values by json.dumps, whose C encoder
-    json.dump never uses.
+    The bytes are those that csv.writer (default dialect) and json.dump write
+    for the same rows. Each column must be a 1-D run of ints that fit int64
+    or of floats: numpy's reading of the whole column fixes which, so a
+    column must hold only ints or only floats, and any other column (a
+    Python int past int64, a bool, a string) is a ValueError naming it.
+
+    Each column formats each distinct magnitude once per table (an int
+    column each distinct value), by str. Before the first row, a sorted copy
+    of the column's magnitudes finds those that occur more than once, and
+    only their text is held; any other magnitude occurs in one row and is
+    formatted there. Rows go out in chunks of _CHUNK_ROWS, each assembled as
+    bytes in numpy: a '-' goes before every float whose sign bit is set, NaN
+    aside, which is how str and json.dumps write -0.0, -inf and negative
+    numbers.
+
+    Memory: besides one chunk's buffers and, while a column is sorted, its
+    8-byte keys, the writer holds 8 + _FLOAT_WIDTH bytes (fewer for ints)
+    per repeated magnitude, which takes at least twice its text and a
+    separator in the file. So the peak stays below the file size on large
+    tables whose repeated magnitudes have text of about 15 characters or
+    more, such as Wigner grids (tested at 65,536 rows), but not on one of
+    many short values that each repeat.
     """
-    with open(path, "w", newline="" if fmt == "csv" else None) as fh:
+    prepared = [_repeats(c, name, fmt) for c, name in zip(columns, header)]
+    with open(path, "wb") as fh:
         if fmt == "csv":
-            fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-            fh.write(",".join(header) + "\r\n")
+            fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n{','.join(header)}\r\n".encode())
         else:
             head = json.dumps({"config": config, "columns": header, "rows": []})
-            fh.write(head[:-2])  # drop the ']}' that closes the empty rows list
-        for i in range(0, len(columns[0]), _CHUNK_ROWS):
-            fields = zip(*(_tokens(np.asarray(c[i : i + _CHUNK_ROWS]), fmt) for c in columns))
-            if fmt == "csv":
-                fh.write("\r\n".join(map(",".join, fields)) + "\r\n")
-            else:
-                fh.write(("[" if i == 0 else ", [") + "], [".join(map(", ".join, fields)) + "]")
+            fh.write(head[:-2].encode())  # drop the ']}' that closes the empty rows list
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            fh.write(_rows(columns, prepared, start, fmt))
         if fmt == "json":
-            fh.write("]}\n")
+            fh.write(b"]}\n")
 
 
 def _read_table(path: str) -> tuple[list, list]:

@@ -596,6 +596,76 @@ def test_writer_memory_stays_below_file_size_on_a_wigner_table(tmp_path, fmt):
     assert peak < out.stat().st_size, (peak, out.stat().st_size)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_memory_stays_below_file_size_when_every_magnitude_repeats(tmp_path, fmt):
+    # the worst case for the held text: each magnitude occurs twice, half a table apart,
+    # so the text of every one of them is held until the second half is written
+    x = np.random.default_rng(11).normal(size=32768)
+    columns = [np.concatenate([x, -x])]
+    out = tmp_path / f"pairs.{fmt}"
+    tracemalloc.start()
+    try:
+        _write_table(str(out), fmt, {}, ["w"], columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size, (peak, out.stat().st_size)
+
+
+def test_writer_formats_each_distinct_magnitude_once(tmp_path, monkeypatch):
+    # rows q and q + N of the (2N, 2N) grid hold the same magnitudes, half a table apart
+    w = wigner_function(_cat(128))
+    formatted = []
+    text = chordnoise.cli._text
+
+    def counted(values, *args):
+        if values.dtype == np.float64:
+            formatted.append(len(values))
+        return text(values, *args)
+
+    monkeypatch.setattr(chordnoise.cli, "_text", counted)
+    for fmt in ("csv", "json"):
+        formatted.clear()
+        _write_table(str(tmp_path / f"w.{fmt}"), fmt, {}, ["jq", "jp", "w"], _grid_columns(w))
+        assert sum(formatted) == len(np.unique(np.abs(w))), fmt
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_int64_edges(tmp_path, fmt):
+    lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+    header = ["i", "x"]
+    for columns in ([[lo, 5, hi, lo], [-0.5, 1.0, 2.0, -0.5]], [np.array([hi, lo, 0]), np.array([lo, hi, lo])]):
+        out, ref = tmp_path / f"t.{fmt}", tmp_path / f"r.{fmt}"
+        _write_table(str(out), fmt, {}, header, columns)
+        _reference_table(ref, fmt, {}, header, list(zip(*(np.asarray(c).tolist() for c in columns))))
+        assert out.read_bytes() == ref.read_bytes(), columns
+        assert str(lo).encode() in out.read_bytes() and b"--" not in out.read_bytes()
+
+
+_BAD_COLUMNS = {
+    "past-int64": [2**63],  # numpy reads it as uint64
+    "past-int64-beside-int": [2**63, -1],  # numpy reads it as float64
+    "below-int64": [-(2**63) - 1, 1],
+    "past-uint64": [2**70],
+    "int-beside-float": [1, 2.5],
+    "bool-beside-int": [True, 2],
+    "bools": [True, False],
+    "float32-beside-float": [np.float32(1.5), 2.5],
+    "strings": ["1", "2"],
+    "none": [1.5, None],
+    "2-d": [[1, 2], [3, 4]],
+    "uint64-array": np.array([1, 2], dtype=np.uint64),
+    "float32-array": np.array([1.5, 2.5], dtype=np.float32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COLUMNS))
+def test_writer_refuses_a_column_that_is_not_int64_or_float64(tmp_path, case):
+    column = _BAD_COLUMNS[case]
+    with pytest.raises(ValueError, match="column 'bad' is not"):
+        _write_table(str(tmp_path / "t.csv"), "csv", {}, ["i", "bad"], [list(range(len(column))), column])
+
+
 _REPLAY_CASES = {
     "channel-spectrum": ["channel-spectrum", "--n", "8", "--family", "pdc-line", "--line", "1,2,1", "--epsilon", "0.3"],
     "channel-spectrum-gaussian": ["channel-spectrum", "--n", "8", "--family", "gaussian", "--sigma", "0.4"],
