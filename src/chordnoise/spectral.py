@@ -23,13 +23,16 @@ kept target row fixes m, through its P' for a shear (Q' = q) and its Q' for
 |b| = 1, and column (q, p) holds c_m(q) e^{-i pi q m/N} s at row
 (Q' mod N, P' mod N), where (Q', P') = M(q, p+m) for that m and s is the sign
 of reducing T_(Q',P') (phasespace._reduction_sign). That is k candidates per
-column for k kept offsets per axis, O(k^3 + k N log N) in all. At N=100 it
-takes ~1 ms at dim 196, ~2.5 ms at dim 576 and ~12 ms at dim 1444 (best of 5
-on a 2-core machine). Every such entry is real: phi is even, so the
-substitution n -> -n - q gives conj c_m(q) = e^{-2 pi i q m/N} c_m(q), and
-c_m(q) e^{-i pi q m/N} is real. The window is therefore stored in Sigma's
-dtype, float64 for the exactly even weights of make_gaussian (see
-channels.channel_spectrum), complex128 for a channel whose Sigma is not real.
+column for k kept offsets per axis, O(k^3 + k N log N) in all. The window
+is stored as the entries of the candidates whose row is kept, never as a
+dim x dim array: at N=100, sigma=0.063, a=4.8 the dim-576 window holds
+6,912 of its 331,776 entries. At N=100 the build takes ~0.9 ms at dim 196,
+~1.4 ms at dim 576 and ~8 ms at dim 1444 (best of 7 on a 2-core machine).
+Every such entry is real: phi is even, so the substitution n -> -n - q gives
+conj c_m(q) = e^{-2 pi i q m/N} c_m(q), and c_m(q) e^{-i pi q m/N} is real.
+The entries are therefore stored in Sigma's dtype, float64 for the exactly
+even weights of make_gaussian (see channels.channel_spectrum), complex128
+for a channel whose Sigma is not real.
 
 A dense unitary U is read entry by entry. Each T_lam has one nonzero per
 column, so for canonical labels lam' = (q', p'), lam = (q, p) the trace is a
@@ -69,10 +72,12 @@ unitary, a translation) or a complex Sigma. At N=100, sigma=0.063, k=0.02
 the float64 dense entries lie 7e-16 from the kicked ones, which lie 2e-16
 from the window evaluated in extended precision.
 
-The leading eigenvalues come from an Arnoldi iteration on the window matrix,
-in the window's own dtype, whose Krylov space grows by a quarter after each
-failed convergence check, with the dense eigensolver as fallback (see
-leading_spectrum).
+The leading eigenvalues come from an Arnoldi iteration in the window's own
+dtype, whose Krylov space grows by a quarter after each failed convergence
+check, with the dense eigensolver as fallback (see leading_spectrum). It
+only multiplies by the window: by the dense matrix, or by a kicked
+window's stored entries, O(k^3) per product instead of O(k^4), so the
+Krylov path never forms a kicked window's dim x dim matrix.
 """
 
 from __future__ import annotations
@@ -100,34 +105,76 @@ _log = logging.getLogger(__name__)
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
 class TruncatedPropagator:
-    """The windowed propagator matrix over kept_modes.
+    """The windowed propagator over kept_modes, held as a dense matrix or as its stored entries.
 
     kept_modes is a read-only (dim, 2) integer array of canonical chord labels
     (q, p) in matrix order: q-major, each axis in centered order, lowest first.
-    matrix is read-only too: float64 under a channel with a real Sigma for a
-    KickedMap or a parity-symmetric u, complex128 otherwise (see the module
-    docstring). Both are read with np.asarray, so an ndarray is frozen in
-    place, with no copy; any other shapes raise ValueError.
+    TruncatedPropagator(kept_modes, matrix) holds a dense (dim, dim) window,
+    as the dense-u build makes; entries is then None.
+    TruncatedPropagator(kept_modes, entries=(rows, cols, values)) holds a
+    window as its stored entries, as the KickedMap build makes: three 1-D
+    arrays of one length, integer row and column indices in [0, dim), each
+    (row, col) at most once, every other entry zero. entries is then that
+    triple, and matrix is formed from it on first access and kept. All arrays
+    are read with np.asarray, so an ndarray is frozen in place, with no copy;
+    any other shapes raise ValueError. matrix is read-only; it and the values
+    have dtype, float64 under a channel with a real Sigma for a KickedMap or
+    a parity-symmetric u, complex128 otherwise (see the module docstring).
     """
 
-    kept_modes: np.ndarray
-    matrix: np.ndarray
+    __slots__ = ("_kept", "_matrix", "_entries")
 
-    def __post_init__(self):
-        kept, mat = np.asarray(self.kept_modes), np.asarray(self.matrix)
+    def __init__(self, kept_modes, matrix=None, *, entries=None):
+        if (matrix is None) == (entries is None):
+            raise ValueError("give the window as a matrix or as entries=(rows, cols, values), not both or neither")
+        kept = np.asarray(kept_modes)
         dim = len(kept) if kept.ndim else 0
-        if kept.shape != (dim, 2) or mat.shape != (dim, dim):
-            raise ValueError(f"kept_modes shape {kept.shape} and matrix shape {mat.shape}: need (dim, 2) and (dim, dim)")
-        kept.setflags(write=False)
-        mat.setflags(write=False)
-        object.__setattr__(self, "kept_modes", kept)
-        object.__setattr__(self, "matrix", mat)
+        if matrix is not None:
+            mat = np.asarray(matrix)
+            if kept.shape != (dim, 2) or mat.shape != (dim, dim):
+                raise ValueError(f"kept_modes shape {kept.shape} and matrix shape {mat.shape}: need (dim, 2) and (dim, dim)")
+            arrays = (mat,)
+        else:
+            arrays = rows, cols, vals = tuple(np.asarray(x) for x in entries)
+            ok = (rows.ndim == 1 and rows.shape == cols.shape == vals.shape
+                  and rows.dtype.kind in "iu" and cols.dtype.kind in "iu" and vals.dtype.kind in "biufc")
+            if ok and len(rows):
+                ok = min(rows.min(), cols.min()) >= 0 and max(rows.max(), cols.max()) < dim
+            if kept.shape != (dim, 2) or not ok:
+                raise ValueError(f"kept_modes shape {kept.shape} and entries of shapes {[x.shape for x in arrays]}: need (dim, 2) "
+                                 "and equal-length 1-D numeric arrays, the first two of integer indices in [0, dim)")
+        for x in (kept, *arrays):
+            x.setflags(write=False)
+        self._kept = kept
+        self._matrix = arrays[0] if matrix is not None else None
+        self._entries = arrays if entries is not None else None
+
+    @property
+    def kept_modes(self) -> np.ndarray:
+        return self._kept
+
+    @property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        return self._entries
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            rows, cols, vals = self._entries
+            mat = np.zeros((self.dim, self.dim), dtype=vals.dtype)
+            mat[rows, cols] = vals
+            mat.setflags(write=False)
+            self._matrix = mat
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return len(self.kept_modes)
+        return len(self._kept)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return (self._matrix if self._entries is None else self._entries[2]).dtype
 
 
 @dataclass(frozen=True)
@@ -223,8 +270,12 @@ def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> tup
     return blocks, mirrored
 
 
-def _covariant_entries(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Window entries of U_M K by the module docstring's rule: k candidate rows per column, no u formed."""
+def _covariant_entries(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stored entries of U_M K's window by the module docstring's rule, no u formed.
+
+    Returns (rows, cols, values) in the order the fill makes them, column by
+    column: of the k candidate rows per column, those that are kept.
+    """
     m = km.spec
     k = len(offs)
     phi = _kick_phase(n, km.kick)
@@ -239,22 +290,22 @@ def _covariant_entries(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarra
     rq, rp = row[qq], row[pp % n]
     hit = np.flatnonzero(rp >= 0)  # candidates whose image row is kept
     iq, ip, q, shift, qq, pp, rq, rp = (x[hit] for x in (iq, ip, q, shift, qq, pp, rq, rp))
-    # e^{-i pi q m / N} depends on q m mod 2N only
-    vals = coef[iq, shift % n] * np.exp(-1j * np.pi * (q * shift % (2 * n)) / n) * _reduction_sign(qq, pp, n)
+    half_turns = np.exp(-1j * np.pi * np.arange(2 * n) / n)  # e^{-i pi q m / N} depends on q m mod 2N only
+    vals = coef[iq, shift % n] * half_turns[q * shift % (2 * n)] * _reduction_sign(qq, pp, n)
     # vals is real up to rounding (module docstring), so the window has Sigma's dtype
-    blocks = np.zeros((k, k, k, k), dtype=sigma.dtype)
-    blocks[rq, rp, iq, ip] = sigma[rq, rp] * vals.real
-    return blocks
+    return rq * k + rp, iq * k + ip, sigma[rq, rp] * vals.real
 
 
 def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) -> TruncatedPropagator:
-    """Windowed matrix of (noise after map) on chord coefficients.
+    """Windowed propagator of (noise after map) on chord coefficients.
 
     evolution is a KickedMap or a dense N x N unitary u. A KickedMap's window
     comes from covariance alone, with no u formed: each kept row fixes the
     kick's shift m, then the image M(q, p + m), its row and its reduction sign
-    are formed, O(k^3 + k N log N) for k kept offsets per axis; the window
-    has Sigma's dtype, float64 for a Gaussian channel. Its map must
+    are formed, O(k^3 + k N log N) for k kept offsets per axis. It is held as
+    its stored entries (TruncatedPropagator.entries), at most k per column,
+    with no dim x dim array formed; they have Sigma's dtype, float64 for a
+    Gaussian channel. Its map must
     pass quantize_linear_map's rule, with the same ValueError. A dense u must
     be numeric, finite and unitary; its entries come from the bilinear form, O(k N^2)
     per (q', q) block, O(k^3 N^2) in all, with about half the blocks filled
@@ -262,7 +313,7 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     conj(u) padded by the window's half-width, one N x N buffer and a block
     and its mirror. Its window is float64 when Sigma is real and u is parity
     symmetric bit for bit, as quantize_linear_map(...) * np.diag(nonlinear_kick(...))
-    is, and complex128 otherwise.
+    is, and complex128 otherwise; it is held as the dense matrix.
     The window follows the module convention: dimension min(4 W^2, N^2),
     kept_modes always in centered q-major order. Any other evolution, a
     channel with sigma None (it has no window) and a window whose dense matrix
@@ -270,8 +321,9 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
 
     Logs one DEBUG record to the "chordnoise.spectral" logger with the branch
     (kicked or dense), dim, the window's dtype (float64 or complex128), the
-    (q', q) blocks computed and mirrored (all k^2 computed on the kicked
-    branch) and the seconds taken.
+    entries it stores (dim^2 for a dense window), the (q', q) blocks
+    computed and mirrored (all k^2 computed on the kicked branch) and the
+    seconds taken.
     """
     start = time.perf_counter()
     n = ch.geometry.n
@@ -288,16 +340,17 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     else:
         raise ValueError(f"evolution must be a KickedMap or an N x N array, got {type(evolution).__name__}")
     offs, sigma = _window(ch, a_coeff)
-    if kicked:
-        blocks, mirrored = _covariant_entries(evolution, n, offs, sigma), 0
-    else:
-        blocks, mirrored = _bilinear_entries(u, offs, sigma)
     k = len(offs)
     kept = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
-    tp = TruncatedPropagator(kept, blocks.reshape(k * k, k * k))
+    if kicked:
+        tp, mirrored = TruncatedPropagator(kept, entries=_covariant_entries(evolution, n, offs, sigma)), 0
+        stored = len(tp.entries[0])
+    else:
+        blocks, mirrored = _bilinear_entries(u, offs, sigma)
+        tp, stored = TruncatedPropagator(kept, blocks.reshape(k * k, k * k)), k**4
     _log.debug(
-        "build_noisy_propagator branch=%s dim=%d dtype=%s blocks_computed=%d blocks_mirrored=%d seconds=%.4f",
-        "kicked" if kicked else "dense", k * k, blocks.dtype, k * k - mirrored, mirrored, time.perf_counter() - start,
+        "build_noisy_propagator branch=%s dim=%d dtype=%s entries=%d blocks_computed=%d blocks_mirrored=%d seconds=%.4f",
+        "kicked" if kicked else "dense", k * k, tp.dtype, stored, k * k - mirrored, mirrored, time.perf_counter() - start,
     )
     return tp
 
@@ -316,26 +369,44 @@ def sort_by_modulus(vals: np.ndarray) -> np.ndarray:
     return vals[_modulus_order(vals)]
 
 
-def _arnoldi_top(a: np.ndarray, count: int):
-    """Top `count` Ritz values of a, grown as leading_spectrum describes.
+def _matvec(tp: TruncatedPropagator):
+    """x -> window @ x: the dense product, or for stored entries np.bincount over rows in the entries' order."""
+    if tp.entries is None:
+        return tp.matrix.__matmul__
+    (rows, cols, vals), dim = tp.entries, tp.dim
 
-    Returns (values or None, the last Krylov dimension built (0 if none),
-    the number of Hessenberg eigensolves, max residual/|theta|, the reason for
-    giving up or None). The factorization A V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T
-    is extended, not restarted, when m grows by ceil(m/4), so each check
-    costs only the new steps.
+    def matvec(x: np.ndarray) -> np.ndarray:
+        terms = vals * x[cols]
+        if terms.dtype.kind != "c":
+            return np.bincount(rows, weights=terms, minlength=dim)
+        out = np.empty(dim, dtype=complex)  # bincount takes real weights only
+        out.real = np.bincount(rows, weights=terms.real, minlength=dim)
+        out.imag = np.bincount(rows, weights=terms.imag, minlength=dim)
+        return out
+
+    return matvec
+
+
+def _arnoldi_top(matvec, dim: int, dtype: np.dtype, count: int):
+    """Top `count` Ritz values of the dim x dim matrix that matvec applies, grown as leading_spectrum describes.
+
+    dtype is the matrix's: the start vector and the iteration are real when
+    it is not complex. Returns (values or None, the last Krylov dimension
+    built (0 if none), the number of Hessenberg eigensolves, max
+    residual/|theta|, the reason for giving up or None). The factorization
+    A V_m = V_m H_m + h_{m+1,m} v_{m+1} e_m^T is extended, not restarted,
+    when m grows by ceil(m/4), so each check costs only the new steps.
     """
-    dim = a.shape[0]
     m, done, checks, worst = 2 * count + 1, 0, 0, np.nan
     g = np.random.default_rng(0).standard_normal((2, dim))
-    v0 = g[0] if np.isrealobj(a) else g[0] + 1j * g[1]
+    v0 = g[0] + 1j * g[1] if np.dtype(dtype).kind == "c" else g[0]
     basis = (v0 / np.linalg.norm(v0))[None]  # rows are the Arnoldi vectors
     hess = np.zeros((1, 0), dtype=basis.dtype)
     while m <= dim / 2:
         basis = np.pad(basis, ((0, m - done), (0, 0)))
         hess = np.pad(hess, ((0, m - done), (0, m - done)))
         for j in range(done, m):
-            w = a @ basis[j]
+            w = matvec(basis[j])
             scale = np.linalg.norm(w)
             for _ in range(2):  # classical Gram-Schmidt, twice
                 c = (basis[: j + 1] @ w.conj()).conj()
@@ -357,11 +428,15 @@ def _arnoldi_top(a: np.ndarray, count: int):
 
 
 def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
-    """Top `count` eigenvalues of the windowed matrix, in sort_by_modulus order.
+    """Top `count` eigenvalues of the windowed propagator, in sort_by_modulus order.
 
     Arnoldi iteration (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998)
-    in the matrix's own dtype: from a fixed-seed Gaussian start vector, g[0]
-    for a real matrix and g[0] + 1j g[1] for a complex one, orthogonalized by
+    in the window's own dtype (tp.dtype), which only multiplies vectors by
+    the window: tp.matrix @ x for a dense window; for one held as entries,
+    np.bincount over the rows of values * x[cols], summed in the entries'
+    order (real and imaginary parts apart for a complex window), which never
+    forms tp.matrix. From a fixed-seed Gaussian start vector, g[0] for a
+    real window and g[0] + 1j g[1] for a complex one, orthogonalized by
     classical Gram-Schmidt applied twice per step, the Krylov dimension m
     starts at 2 count + 1 (ARPACK's default ncv) and grows by ceil(m/4) after
     each failed check until each of the top `count` Ritz values theta, with y
@@ -371,8 +446,9 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     k=0.2 the top 20 first pass at m = 43 to 48, float64 or complex, and m
     stops at 52 after checks at 41 and 52.
     The result is deterministic and always complex128. The dense
-    np.linalg.eigvals is used instead when the next m would pass dim/2 before
-    the top values pass (at once for count near dim), or when the Krylov
+    np.linalg.eigvals of tp.matrix, formed from the entries if need be, is
+    used instead when the next m would pass dim/2 before the top values
+    pass (at once for count near dim), or when the Krylov
     space turns out invariant, since one start vector cannot see repeated
     eigenvalues; LinAlgError from it propagates as-is.
 
@@ -385,9 +461,11 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     The window matrix is strongly non-normal. Past the top few, eigenvalues
     have condition numbers up to ~1e14 and sit at its rounding noise floor
     (Trefethen & Embree, Spectra and Pseudospectra, 2005). On those float64
-    windows the two paths agree on the top 3 to 7e-11 (dim 196) and 2e-12
-    (dim 576), and on the top 20 only to 8e-5 and 2e-4; at k=0.2 and k=1.0
-    (dim 576) the top 20 agree to 1e-7 and 3e-15.
+    windows the two paths agree on the top 3 to 3e-11 (dim 196) and 7e-12
+    (dim 576), and on the top 20 only to 1e-4 and 2e-4; at k=0.2 and k=1.0
+    (dim 576) the top 20 agree to 4e-7 and 2e-15. Which rounding the matvec
+    makes can move the stop: summing the same entries per row in another
+    order moved the dim-196 window's stop from m = 41 to 52.
 
     Logs one DEBUG record to the "chordnoise.spectral" logger with dim,
     count, the path, the final Krylov dimension, the number of checks
@@ -397,7 +475,7 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     count = _integer(count, "eigenvalue count")
     if not 1 <= count <= tp.dim:
         raise ValueError(f"requested {count} eigenvalues; a dim-{tp.dim} propagator has 1 to {tp.dim}")
-    vals, m, checks, worst, reason = _arnoldi_top(tp.matrix, count)
+    vals, m, checks, worst, reason = _arnoldi_top(_matvec(tp), tp.dim, tp.dtype, count)
     if reason is not None:
         vals = sort_by_modulus(np.linalg.eigvals(tp.matrix))[:count]
     vals = vals.astype(complex, copy=False)  # eig and eigvals give float64 when every value is real

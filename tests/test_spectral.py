@@ -25,7 +25,7 @@ from chordnoise import (
     stability_report,
     translation_operator,
 )
-from chordnoise.spectral import _WINDOW_BYTES_BUDGET, SpectrumResult, TruncatedPropagator, _bilinear_entries, _window
+from chordnoise.spectral import _WINDOW_BYTES_BUDGET, SpectrumResult, TruncatedPropagator, _bilinear_entries, _matvec, _window
 from chordnoise.oracles import ORACLE_N_CAP, chord_supermatrix
 
 CAT = LinearMapSpec(1, 1, 1, 2)
@@ -245,7 +245,8 @@ def test_dense_build_holds_no_copy_of_u_per_block():
 def test_build_logs_its_branch_and_blocks(caplog):
     # k = 10 kept offsets per axis: 19 blocks touch the edge q = -5 and are
     # computed, the other 81 pair up by (q', q) <-> (-q', -q) around (0, 0);
-    # the dtype is float64 for the parity-symmetric u, complex128 for a translation
+    # the dtype is float64 for the parity-symmetric u, complex128 for a translation;
+    # a dense window stores dim^2 entries, the kicked one 500 of its 10,000
     g, _, ch = _standard_setup()
     odd = make_gaussian(TorusGeometry(9), 0.2)
     caplog.set_level(logging.DEBUG, logger="chordnoise.spectral")
@@ -258,7 +259,74 @@ def test_build_logs_its_branch_and_blocks(caplog):
     assert dense.items() >= {"branch": "dense", "dim": "100", "dtype": "float64", "blocks_computed": "60", "blocks_mirrored": "40"}.items()
     assert kicked.items() >= {"branch": "kicked", "dim": "100", "dtype": "float64", "blocks_computed": "100", "blocks_mirrored": "0"}.items()
     assert covering.items() >= {"branch": "dense", "dim": "81", "dtype": "complex128", "blocks_computed": "41", "blocks_mirrored": "40"}.items()
+    assert (dense["entries"], kicked["entries"], covering["entries"]) == ("10000", "500", "6561")
     assert all(float(r["seconds"]) >= 0 for r in records)
+
+
+def test_kicked_window_is_stored_as_its_entries():
+    # N=100, sigma=0.063, a=9.2: W = 23, dim 2,116, whose dense float64 matrix takes 35.8 MB;
+    # the build stores 48,668 entries and the Krylov solve multiplies by them
+    _, _, ch = _standard_setup()
+    tracemalloc.start()
+    try:
+        tp = build_noisy_propagator(ch, KickedMap(CAT, 0.02), 9.2)
+        leading_spectrum(tp, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tp.dim == 2116
+    assert peak < 0.5 * tp.dim**2 * 8
+    rows, cols, values = tp.entries
+    assert len(rows) == 48668 and values.dtype == tp.dtype == np.float64
+    assert not any(x.flags.writeable for x in tp.entries)
+    assert len(np.unique(rows * tp.dim + cols)) == len(rows)  # each (row, col) at most once
+    mat = tp.matrix
+    assert not mat.flags.writeable and tp.matrix is mat
+    window = np.zeros((tp.dim, tp.dim))
+    window[rows, cols] = values
+    assert np.array_equal(mat, window)
+
+
+def test_complex_kicked_window_solves_through_its_entries(caplog):
+    # the Gaussian's weights rolled one site in q multiply Sigma by a phase, so the
+    # kicked window is complex: its entries' matvec is the matrix's, and so is its spectrum;
+    # at k=0.2 the top 3 are well conditioned (at k=0.02 the two solves differ by 3e-11)
+    g = TorusGeometry(100)
+    gauss = make_gaussian(g, 0.063)
+    ch = DiagonalChordChannel(g, gauss.epsilon, np.roll(gauss.weights, 1, axis=0), gauss.sigma)
+    tp = build_noisy_propagator(ch, KickedMap(CAT, 0.2), 2.8)
+    assert tp.dim == 196 and tp.dtype == np.complex128 and tp.entries is not None
+    caplog.set_level(logging.DEBUG, logger="chordnoise.spectral")
+    top = leading_spectrum(tp, 20).eigenvalues[:3]
+    assert _records(caplog)[-1]["path"] == "krylov"
+    z = np.random.default_rng(5).standard_normal((2, tp.dim))
+    x = z[0] + 1j * z[1]
+    expected = tp.matrix @ x
+    # each row sums its entries in fill order, not in the dense product's order
+    assert np.abs(_matvec(tp)(x) - expected).max() <= 8 * np.finfo(float).eps * np.abs(expected).max()
+    dense = sort_by_modulus(np.linalg.eigvals(tp.matrix))[:3]
+    assert np.abs(top - dense).max() < 1e-12
+
+
+def test_propagator_from_entries():
+    kept = np.argwhere(np.ones((2, 2), dtype=bool))
+    rows, cols, values = np.array([0, 3, 1]), np.array([2, 0, 1]), np.array([0.5, -1.0, 2.0])
+    tp = TruncatedPropagator(kept, entries=(rows, cols, values))
+    assert tp.dim == 4 and tp.dtype == np.float64
+    assert all(x is y for x, y in zip(tp.entries, (rows, cols, values)))  # frozen in place, no copy
+    assert not rows.flags.writeable and not values.flags.writeable
+    window = np.zeros((4, 4))
+    window[[0, 3, 1], [2, 0, 1]] = [0.5, -1.0, 2.0]
+    assert np.array_equal(tp.matrix, window) and not tp.matrix.flags.writeable
+    assert TruncatedPropagator(kept, np.eye(4)).entries is None
+    assert TruncatedPropagator([[0, 0]], entries=([0], [0], [1j])).matrix.dtype == np.complex128
+    for bad in (([0, 4], [0, 0], [1.0, 1.0]), ([-1], [0], [1.0]), ([0.0], [0], [1.0]), ([0, 1], [0], [1.0]),
+                ([[0]], [[0]], [[1.0]]), ([0], [0], ["a"])):
+        with pytest.raises(ValueError, match=r"indices in \[0, dim\)"):
+            TruncatedPropagator(kept, entries=bad)
+    for matrix, entries in ((None, None), (np.eye(4), (rows, cols, values))):
+        with pytest.raises(ValueError, match="not both or neither"):
+            TruncatedPropagator(kept, matrix, entries=entries)
 
 
 def test_sort_by_modulus_ordering():
