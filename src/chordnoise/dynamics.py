@@ -58,8 +58,8 @@ class LinearMapSpec:
             raise ValueError(f"map determinant must be 1, got {det}")
 
     def apply(self, alpha, n: int) -> tuple[int, int]:
-        """Image (q, p) of an integer grid point under the map, reduced mod N."""
-        q, p = _label(alpha)
+        """Image (q, p) of an integer grid point under the map, reduced mod N; n is checked as TorusGeometry(n) checks it."""
+        n, (q, p) = TorusGeometry(n).n, _label(alpha)
         return ((self.a * q + self.b * p) % n, (self.c * q + self.d * p) % n)
 
 

@@ -19,15 +19,16 @@ of Garcia-Mata, Saraceno & Spina, PRL 91 (2003) 064101):
     c(q) = fft(e^{i(phi(n+q) - phi(n))}) / N, one length-N FFT per kept q;
     T_(q,p) T_(0,m) = e^{-i pi q m / N} T_(q,p+m) and U_M T_mu U_M^dag = T_{M mu}
 on unreduced integer labels. One rule fills the window for every map: each
-kept target row fixes m, through its P' for a shear (Q' = q) and its Q' for
+kept target t fixes m, through P' = t for a shear (Q' = q) and Q' = t for
 |b| = 1, and column (q, p) holds c_m(q) e^{-i pi q m/N} s at row
-(Q' mod N, P' mod N), where (Q', P') = M(q, p+m) for that m and s is the sign
-of reducing T_(Q',P') (phasespace._reduction_sign). That is k candidates per
-column for k kept offsets per axis, O(k^3 + k N log N) in all. The window
-is stored as the entries of the candidates whose row is kept, never as a
-dim x dim array: at N=100, sigma=0.063, a=4.8 the dim-576 window holds
-6,912 of its 331,776 entries. At N=100 the build takes ~0.9 ms at dim 196,
-~1.4 ms at dim 576 and ~8 ms at dim 1444 (best of 7 on a 2-core machine).
+(Q' mod N, P' mod N), where (Q', P') = M(q, p+m) and s is the sign of
+reducing T_(Q',P') (phasespace._reduction_sign). As p + m depends on (q, t)
+only, so does the image: (q, t) for a shear, (t, b(d t - q)) for |b| = 1, as
+c = b(ad - 1) when b^2 = 1. So a k x k table of the image row, s and Sigma
+gives each column of one q the same kept rows, and a k x 2N table holds
+c_m(q) e^{-i pi q m/N}, a function of (q, m mod 2N): O(k^2 + entries + k N log N)
+for k kept offsets per axis, at most k entries per column, never a dim x dim
+array (the dim-576 window at N=100, sigma=0.063, a=4.8 holds 6,912 of 331,776).
 Every such entry is real: phi is even, so the substitution n -> -n - q gives
 conj c_m(q) = e^{-2 pi i q m/N} c_m(q), and c_m(q) e^{-i pi q m/N} is real.
 The entries are therefore stored in Sigma's dtype, float64 for the exactly
@@ -56,8 +57,7 @@ computed at k=10, 760 of 1444 at k=38. Sigma scales the rows after the
 fill, so the identity needs nothing from the channel. conj(U) is padded once
 by E, wrapping mod N, and each block's conj M is U times a 2-D view of it, in
 one preallocated N x N buffer, so F M F^dag = conj(conj(F) conj(M) F^T). That
-is O(k N^2) per computed block, O(k^3 N^2) in all: ~11, ~46 and ~150 ms at
-the same sizes, and ~64 ms at N=400, dim 100.
+is O(k N^2) per computed block, O(k^3 N^2) in all.
 It is the route for a general unitary and the reference for the kicked one.
 When u is parity symmetric, u[-a, -d] == u[a, d] with indices mod N, and
 Sigma is real, every entry is real as well: parity gives
@@ -273,39 +273,38 @@ def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> tup
 def _covariant_entries(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stored entries of U_M K's window by the module docstring's rule, no u formed.
 
-    Returns (rows, cols, values) in the order the fill makes them, column by
-    column: of the k candidate rows per column, those that are kept.
+    Returns (rows, cols, values) in the order the fill makes them: column
+    (q, p) by column, then target t, the kept rows of each column.
     """
     m = km.spec
     k = len(offs)
     phi = _kick_phase(n, km.kick)
     coef = np.fft.fft(np.exp(1j * (phi[(np.arange(n) + offs[:, None]) % n] - phi)), axis=1) / n  # c_m(q)
+    turns = np.arange(2 * n)
+    # c_m(q) e^{-i pi q m/N} on m mod 2N, real up to rounding (module docstring), so the window has Sigma's dtype
+    coef = (coef[:, turns % n] * np.exp(-1j * np.pi * turns / n)[offs[:, None] * turns % (2 * n)]).real
     row = np.full(n, -1)
     row[offs] = np.arange(k)
-    iq, ip, it = np.indices((k, k, k)).reshape(3, -1)  # column (q, p), candidate target it
-    q, p, target = offs[iq], offs[ip], offs[it]
-    # m makes the image's P' (shear, where Q' = q) or Q' (|b| = 1) the kept target, so Q' is canonical
-    shift = target - m.c * q - p if m.b == 0 else m.b * (target - m.a * q) - p
-    qq, pp = m.a * q + m.b * (p + shift), m.c * q + m.d * (p + shift)
+    # column q and target t fix m + p = m0, so the image M(q, p + m), its row and its sign do not depend on p
+    q, t = offs[:, None], offs
+    m0 = t - m.c * q if m.b == 0 else m.b * (t - m.a * q)
+    qq, pp = m.a * q + m.b * m0, m.c * q + m.d * m0
     rq, rp = row[qq], row[pp % n]
-    hit = np.flatnonzero(rp >= 0)  # candidates whose image row is kept
-    iq, ip, q, shift, qq, pp, rq, rp = (x[hit] for x in (iq, ip, q, shift, qq, pp, rq, rp))
-    half_turns = np.exp(-1j * np.pi * np.arange(2 * n) / n)  # e^{-i pi q m / N} depends on q m mod 2N only
-    vals = coef[iq, shift % n] * half_turns[q * shift % (2 * n)] * _reduction_sign(qq, pp, n)
-    # vals is real up to rounding (module docstring), so the window has Sigma's dtype
-    return rq * k + rp, iq * k + ip, sigma[rq, rp] * vals.real
+    rows, scale = rq * k + rp, sigma[rq, rp] * _reduction_sign(qq, pp, n)  # scale is Sigma s on the image row
+    iq, ip, it = np.nonzero(np.broadcast_to((rp >= 0)[:, None], (k, k, k)))  # column (q, p), kept target
+    return rows[iq, it], iq * k + ip, scale[iq, it] * coef[iq, (m0[iq, it] - offs[ip]) % (2 * n)]
 
 
 def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) -> TruncatedPropagator:
     """Windowed propagator of (noise after map) on chord coefficients.
 
     evolution is a KickedMap or a dense N x N unitary u. A KickedMap's window
-    comes from covariance alone, with no u formed: each kept row fixes the
-    kick's shift m, then the image M(q, p + m), its row and its reduction sign
-    are formed, O(k^3 + k N log N) for k kept offsets per axis. It is held as
+    comes from covariance alone, with no u formed, through the module
+    docstring's k x k row table and k x 2N coefficient table,
+    O(k^2 + entries + k N log N) for k kept offsets per axis. It is held as
     its stored entries (TruncatedPropagator.entries), at most k per column,
-    with no dim x dim array formed; they have Sigma's dtype, float64 for a
-    Gaussian channel. Its map must
+    the same rows for every column of one q, with no dim x dim array formed;
+    they have Sigma's dtype, float64 for a Gaussian channel. Its map must
     pass quantize_linear_map's rule, with the same ValueError. A dense u must
     be numeric, finite and unitary; its entries come from the bilinear form, O(k N^2)
     per (q', q) block, O(k^3 N^2) in all, with about half the blocks filled

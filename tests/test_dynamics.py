@@ -35,6 +35,15 @@ def test_map_spec_validation():
     assert m.apply((3, 4), 10) == (0, 7)
 
 
+@pytest.mark.parametrize("n, match", [(2.5, "must be an integer"), (-5, ">= 2"), (0, ">= 2")])
+def test_map_apply_refuses_a_bad_dimension(n, match):
+    # n is read as TorusGeometry(n).n, with the same ValueError
+    with pytest.raises(ValueError, match=match):
+        TorusGeometry(n)
+    with pytest.raises(ValueError, match=match):
+        CAT.apply((1, 2), n)
+
+
 @pytest.mark.parametrize(
     "build",
     [

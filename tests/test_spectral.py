@@ -152,6 +152,12 @@ def test_kicked_map_matches_the_dense_build(n):
             tp = build_noisy_propagator(ch, KickedMap(m, k), 2.0)
             assert tp.dim == 36 and np.array_equal(tp.kept_modes, dense.kept_modes)
             assert np.abs(tp.matrix - dense.matrix).max() < 1e-12, (m, k)
+            # the fill rests on this: column (q, p) stores the same rows for every p that shares its q
+            rows, cols, _ = tp.entries
+            stored = np.zeros((36, 36), dtype=bool)
+            stored[rows, cols] = True
+            by_q = stored.reshape(36, 6, 6)  # [row, q, p]
+            assert (by_q == by_q[:, :, :1]).all(), (m, k)
     assert accepted == 69
 
 
@@ -270,12 +276,15 @@ def test_kicked_window_is_stored_as_its_entries():
     tracemalloc.start()
     try:
         tp = build_noisy_propagator(ch, KickedMap(CAT, 0.02), 9.2)
+        build_peak = tracemalloc.get_traced_memory()[1]
         leading_spectrum(tp, 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert tp.dim == 2116
     assert peak < 0.5 * tp.dim**2 * 8
+    # the fill's tables are k x k and k x 2N, so the build holds little beyond the entries (2.9x)
+    assert build_peak < 5 * sum(x.nbytes for x in tp.entries)
     rows, cols, values = tp.entries
     assert len(rows) == 48668 and values.dtype == tp.dtype == np.float64
     assert not any(x.flags.writeable for x in tp.entries)
