@@ -10,7 +10,8 @@ Conventions used throughout the package:
   operators pick up signs under label shifts by N,
       T_(q+N,p) = (-1)^p T_(q,p),   T_(q,p+N) = (-1)^q T_(q,p).
   `translation_operator` accepts any integer labels and produces these signs
-  automatically; canonical labels are in [0, N).
+  automatically; canonical labels are in [0, N). Every half-turn phase
+  e^{i pi s/N} in the package is read from one table on s mod 2N.
 * Group law: T_a1 T_a2 = composition_phase(a1, a2) * T_((a1+a2) mod N), where
   the phase includes both the triangle phase exp[(i*pi/N)(p1*q2 - q1*p2)] and
   the sign from reducing the summed label back to [0, N).
@@ -94,10 +95,10 @@ def translation_operator(geom: TorusGeometry, alpha) -> np.ndarray:
     [0, N) produce the sign factors stated in the module docstring.
     """
     n = geom.n
-    q, p = _label(alpha)
+    q, p = (x % (2 * n) for x in _label(alpha))  # T_(q,p) depends on the labels mod 2N only
     cols = np.arange(n)
     t = np.zeros((n, n), dtype=complex)
-    t[(cols + q) % n, cols] = np.exp(2j * np.pi * p * (cols + q / 2.0) / n)
+    t[(cols + q) % n, cols] = _half_turns(n)[p * (2 * cols + q) % (2 * n)]
     return t
 
 
@@ -111,7 +112,7 @@ def composition_phase(geom: TorusGeometry, a1, a2) -> complex:
     n = geom.n
     q1, p1 = _label(a1)
     q2, p2 = _label(a2)
-    triangle = np.exp(1j * np.pi * (p1 * q2 - q1 * p2) / n)
+    triangle = _half_turns(n)[(p1 * q2 - q1 * p2) % (2 * n)]
     return complex(_reduction_sign(q1 + q2, p1 + p2, n) * triangle)
 
 
@@ -124,6 +125,11 @@ def _reduction_sign(q, p, n: int):
 def _centered(k, n: int):
     """The representative of label k (an integer or an array) in [-N/2, N/2)."""
     return (k + n // 2) % n - n // 2
+
+
+def _half_turns(n: int) -> np.ndarray:
+    """e^{i pi s/N} at index s mod 2N, from the centered s in [-N, N), so |arg| <= pi."""
+    return np.exp(1j * np.pi * _centered(np.arange(2 * n), 2 * n) / n)
 
 
 def _is_even(a: np.ndarray) -> bool:
@@ -142,11 +148,18 @@ def wedge(lam, alpha) -> int:
     return mu * p - nu * q
 
 
-def _shifted_diagonals(a: np.ndarray) -> np.ndarray:
-    """D[q, m] = a[(m+q) mod N, m], the q-th shifted diagonal on each row."""
-    n = a.shape[0]
+def _diagonals(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, cols) index with entry [q, m] at ((m+q) mod N, m): A[index] holds A's q-th shifted diagonal on row q."""
     m = np.arange(n)
-    return a[(m[None, :] + m[:, None]) % n, m[None, :]]
+    return (m[None, :] + m[:, None]) % n, m[None, :]
+
+
+def _square(a, what: str, dtype=None) -> tuple[np.ndarray, int]:
+    """a as a numeric (N, N) array, cast to dtype unless None, and N, which TorusGeometry checks; else ValueError."""
+    a = np.asarray(a)
+    if a.ndim != 2 or len(a) != a.shape[1] or a.dtype.kind not in "biufc":
+        raise ValueError(f"{what} must be a square numeric table, got shape {a.shape} and dtype {a.dtype}")
+    return a.astype(dtype or a.dtype, copy=False), TorusGeometry(len(a)).n
 
 
 def chord_transform(a: np.ndarray, geom: TorusGeometry) -> np.ndarray:
@@ -155,27 +168,17 @@ def chord_transform(a: np.ndarray, geom: TorusGeometry) -> np.ndarray:
     Computed per shifted diagonal with an FFT over the momentum label:
     Tr(A T_(q,p)^dag) = exp(-i*pi*p*q/N) * sum_m A[(m+q)%N, m] e^{-2*pi*i*p*m/N}.
     """
-    n = geom.n
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (n, n):
-        raise ValueError(f"operator shape {a.shape} does not match N={n}")
-    d = _shifted_diagonals(a)
-    f = np.fft.fft(d, axis=1)
-    qv = np.arange(n)[:, None]
-    pv = np.arange(n)[None, :]
-    return f * np.exp(-1j * np.pi * qv * pv / n) / np.sqrt(n)
+    a, n = _square(a, "operator", complex)
+    if n != geom.n:
+        raise ValueError(f"operator shape {a.shape} does not match N={geom.n}")
+    m = np.arange(n)
+    return np.fft.fft(a[_diagonals(n)], axis=1) * _half_turns(n).conj()[np.outer(m, m) % (2 * n)] / np.sqrt(n)
 
 
 def chord_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Operator A = (1/sqrt(N)) sum_alpha a(alpha) T_alpha from its chord table."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    n = coeffs.shape[0]
-    if coeffs.shape != (n, n):
-        raise ValueError(f"chord table must be square, got {coeffs.shape}")
-    qv = np.arange(n)[:, None]
-    pv = np.arange(n)[None, :]
-    d = np.sqrt(n) * np.fft.ifft(coeffs * np.exp(1j * np.pi * qv * pv / n), axis=1)
-    a = np.zeros((n, n), dtype=complex)
+    coeffs, n = _square(coeffs, "chord coefficients", complex)
     m = np.arange(n)
-    a[(m[None, :] + m[:, None]) % n, m[None, :]] = d
+    a = np.zeros((n, n), dtype=complex)
+    a[_diagonals(n)] = np.sqrt(n) * np.fft.ifft(coeffs * _half_turns(n)[np.outer(m, m) % (2 * n)], axis=1)
     return a

@@ -116,39 +116,35 @@ class TruncatedPropagator:
     window as its stored entries, as the KickedMap build makes: three 1-D
     arrays of one length, integer row and column indices in [0, dim), each
     (row, col) at most once, every other entry zero. entries is then that
-    triple, and matrix is formed from it on first access and kept. All arrays
-    are read with np.asarray, so an ndarray is frozen in place, with no copy;
-    any other shapes raise ValueError. matrix is read-only; it and the values
+    triple, and matrix is formed from it on each access and not kept. All
+    arrays are read with np.asarray, so an ndarray is frozen in place, with
+    no copy; labels must be integers and values numeric, and any other
+    dtypes or shapes raise ValueError. matrix is read-only; it and the values
     have dtype, float64 under a channel with a real Sigma for a KickedMap or
     a parity-symmetric u, complex128 otherwise (see the module docstring).
     """
 
-    __slots__ = ("_kept", "_matrix", "_entries")
+    __slots__ = ("_kept", "_window")
 
     def __init__(self, kept_modes, matrix=None, *, entries=None):
         if (matrix is None) == (entries is None):
             raise ValueError("give the window as a matrix or as entries=(rows, cols, values), not both or neither")
         kept = np.asarray(kept_modes)
         dim = len(kept) if kept.ndim else 0
-        if matrix is not None:
-            mat = np.asarray(matrix)
-            if kept.shape != (dim, 2) or mat.shape != (dim, dim):
-                raise ValueError(f"kept_modes shape {kept.shape} and matrix shape {mat.shape}: need (dim, 2) and (dim, dim)")
-            arrays = (mat,)
+        if entries is None:
+            window, need = (np.asarray(matrix),), "(dim, dim)"
+            ok = window[0].shape == (dim, dim)
         else:
-            arrays = rows, cols, vals = tuple(np.asarray(x) for x in entries)
-            ok = (rows.ndim == 1 and rows.shape == cols.shape == vals.shape
-                  and rows.dtype.kind in "iu" and cols.dtype.kind in "iu" and vals.dtype.kind in "biufc")
-            if ok and len(rows):
-                ok = min(rows.min(), cols.min()) >= 0 and max(rows.max(), cols.max()) < dim
-            if kept.shape != (dim, 2) or not ok:
-                raise ValueError(f"kept_modes shape {kept.shape} and entries of shapes {[x.shape for x in arrays]}: need (dim, 2) "
-                                 "and equal-length 1-D numeric arrays, the first two of integer indices in [0, dim)")
-        for x in (kept, *arrays):
+            window = tuple(np.asarray(x) for x in entries)
+            need = "equal-length 1-D arrays, the first two of indices in [0, dim)"
+            ok = len(window) == 3 and window[0].ndim == 1 and all(x.shape == window[0].shape for x in window)
+            ok = ok and all(x.dtype.kind in "iu" and (not x.size or (x.min() >= 0 and x.max() < dim)) for x in window[:2])
+        if not (ok and kept.shape == (dim, 2) and kept.dtype.kind in "iu" and window[-1].dtype.kind in "biufc"):
+            raise ValueError(f"kept_modes {kept.shape} {kept.dtype} and window {[(x.shape, str(x.dtype)) for x in window]}: "
+                             f"need (dim, 2) and {need}, integer labels and numeric values")
+        for x in (kept, *window):
             x.setflags(write=False)
-        self._kept = kept
-        self._matrix = arrays[0] if matrix is not None else None
-        self._entries = arrays if entries is not None else None
+        self._kept, self._window = kept, window
 
     @property
     def kept_modes(self) -> np.ndarray:
@@ -156,17 +152,17 @@ class TruncatedPropagator:
 
     @property
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        return self._entries
+        return self._window if len(self._window) == 3 else None
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            rows, cols, vals = self._entries
-            mat = np.zeros((self.dim, self.dim), dtype=vals.dtype)
-            mat[rows, cols] = vals
-            mat.setflags(write=False)
-            self._matrix = mat
-        return self._matrix
+        if self.entries is None:
+            return self._window[0]
+        rows, cols, vals = self._window
+        mat = np.zeros((self.dim, self.dim), dtype=vals.dtype)
+        mat[rows, cols] = vals
+        mat.setflags(write=False)
+        return mat
 
     @property
     def dim(self) -> int:
@@ -174,7 +170,7 @@ class TruncatedPropagator:
 
     @property
     def dtype(self) -> np.dtype:
-        return (self._matrix if self._entries is None else self._entries[2]).dtype
+        return self._window[-1].dtype
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .phasespace import TorusGeometry, _real
+from .phasespace import TorusGeometry, _half_turns, _real, _square
 
 __all__ = [
     "coherent_state",
@@ -75,23 +75,19 @@ def wigner_function(rho: np.ndarray) -> np.ndarray:
     Computed with one FFT per anti-diagonal of rho:
     Tr(rho U^q R V^(-p)) = sum_k rho[k, (q-k) mod N] exp(-2*pi*i*k*p/N),
     which depends on (q, p) only mod N; the half-integer structure enters
-    through the prefactor exp(i*pi*q*p/N). That prefactor is evaluated on
-    the N x N block only, at the phase (q*p mod 2N), and the other three
-    quadrants are the block times exact signs: W[q + aN, p + bN] ==
-    (-1)^(bq + ap + abN) * W[q, p] bit for bit. Raises on non-Hermitian or
-    non-finite input, for which the trace is not a real number.
+    through the prefactor exp(i*pi*q*p/N). That prefactor is read on the
+    N x N block only, at q*p mod 2N from phasespace._half_turns, and the
+    other three quadrants are the block times exact signs: W[q + aN, p + bN]
+    == (-1)^(bq + ap + abN) * W[q, p] bit for bit. Raises on non-numeric,
+    non-Hermitian or non-finite input, for which the trace is not real.
     """
-    rho = np.asarray(rho)
-    n = rho.shape[0] if rho.ndim else 0
-    if rho.shape != (n, n):
-        raise ValueError(f"density matrix must be square, got {rho.shape}")
-    TorusGeometry(n)  # rejects N < 2
+    rho, n = _square(rho, "density matrix")  # rejects N < 2
     if not (np.isfinite(rho).all() and np.abs(rho - rho.conj().T).max() <= 1e-9):
         raise ValueError("input is not a finite Hermitian matrix; Wigner values would not be real")
     m = np.arange(n)
     anti = rho[m[None, :], (m[:, None] - m[None, :]) % n]
     f = np.fft.fft(anti, axis=1)
-    block = (np.exp(1j * np.pi * (np.outer(m, m) % (2 * n)) / n) * f).real / (2 * n)
+    block = (_half_turns(n)[np.outer(m, m) % (2 * n)] * f).real / (2 * n)
     s = 1.0 - 2.0 * (m % 2)  # (-1)^j for j = 0..N-1
     w = np.empty((2 * n, 2 * n))
     w[:n, :n] = block
@@ -108,13 +104,13 @@ def wigner_overlap(w1: np.ndarray, w2: np.ndarray) -> float:
     With the 1/2N point-operator normalization the full-grid product
     satisfies N * sum_x W1(x) W2(x) = Tr(rho1 rho2); the constant N is pinned
     by a test against Tr(rho1 rho2) taken on the density matrices. Both
-    tables must be (2N, 2N) with N >= 2, as wigner_function returns them;
+    must be real (2N, 2N) tables, N >= 2, as wigner_function returns;
     each is read with np.asarray, so nested lists work.
     """
     w1, w2 = np.asarray(w1), np.asarray(w2)
     if w1.shape != w2.shape:
         raise ValueError(f"Wigner grids of shapes {w1.shape} and {w2.shape} live on different tori")
     side = w1.shape[0] if w1.ndim == 2 else 0
-    if w1.shape != (side, side) or side % 2 or side < 4:
-        raise ValueError(f"a Wigner grid is (2N, 2N) with N >= 2, got shape {w1.shape}")
+    if w1.shape != (side, side) or side % 2 or side < 4 or not {w1.dtype.kind, w2.dtype.kind} <= set("biuf"):
+        raise ValueError(f"a Wigner grid is a real (2N, 2N) table, N >= 2, got shape {w1.shape}, dtypes {w1.dtype}, {w2.dtype}")
     return side // 2 * float(np.sum(w1 * w2))

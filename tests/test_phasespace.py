@@ -169,3 +169,18 @@ def test_chord_shape_validation():
         chord_transform(np.eye(5), g)
     with pytest.raises(ValueError):
         chord_inverse(np.ones((3, 4)))
+    # once an IndexError, a table though TorusGeometry refuses N < 2, and silent NaN
+    for call in (lambda: chord_inverse(np.array(5.0)), lambda: chord_inverse(np.ones((1, 1))),
+                 lambda: chord_transform(np.full((4, 4), None), g), lambda: chord_inverse(np.full((4, 4), "a"))):
+        with pytest.raises(ValueError, match="square numeric table|>= 2"):
+            call()
+
+
+@pytest.mark.parametrize("n", [100, 400, 1000])
+def test_chord_transform_of_a_translation_is_exact(n):
+    # every half-turn phase comes from one table on s mod 2N; unreduced exponentials
+    # once left this 3.0e-13, 7.2e-13 and 1.2e-11 away from sqrt(N) delta
+    g = TorusGeometry(n)
+    expected = np.zeros((n, n))
+    expected[n - 3, n - 1] = np.sqrt(n)
+    assert np.abs(chord_transform(translation_operator(g, (n - 3, n - 1)), g) - expected).max() <= 1e-14

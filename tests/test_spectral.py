@@ -290,7 +290,7 @@ def test_kicked_window_is_stored_as_its_entries():
     assert not any(x.flags.writeable for x in tp.entries)
     assert len(np.unique(rows * tp.dim + cols)) == len(rows)  # each (row, col) at most once
     mat = tp.matrix
-    assert not mat.flags.writeable and tp.matrix is mat
+    assert not mat.flags.writeable and tp.matrix is not tp.matrix  # formed on each access, not kept
     window = np.zeros((tp.dim, tp.dim))
     window[rows, cols] = values
     assert np.array_equal(mat, window)
@@ -393,9 +393,13 @@ def test_propagator_reads_lists_and_refuses_bad_shapes():
     # lists once raised AttributeError from setflags
     tp = TruncatedPropagator([[0, 0]], [[1.0]])
     assert tp.dim == 1 and not tp.kept_modes.flags.writeable and not tp.matrix.flags.writeable
-    for kept, mat in (([0, 0], [[1.0]]), ([[0, 0, 0]], [[1.0]]), ([[0, 0]], [1.0]), (0, 1.0)):
+    # float labels were once stored as given, and a string matrix failed later in leading_spectrum
+    for kept, mat in (([0, 0], [[1.0]]), ([[0, 0, 0]], [[1.0]]), ([[0, 0]], [1.0]), (0, 1.0),
+                      ([[0.5, 0.2]], [[1.0]]), ([[0.0, 0.0]], [[1.0]]), ([[0, 0]], [["a"]]), ([[0, 0]], [[None]])):
         with pytest.raises(ValueError, match=r"need \(dim, 2\) and \(dim, dim\)"):
             TruncatedPropagator(kept, mat)
+    with pytest.raises(ValueError, match=r"indices in \[0, dim\)"):
+        TruncatedPropagator([[0.0, 0.0]], entries=([0], [0], [1.0]))
 
 
 def test_build_rejects_non_unitary_map():

@@ -200,6 +200,15 @@ def test_states_reject_non_finite_input(bad):
         wigner_function(rho)
 
 
+def test_wigner_refuses_non_numeric_tables():
+    # once a TypeError from np.isfinite, numpy's UFuncTypeError, and a ComplexWarning that dropped the imaginary part
+    with pytest.raises(ValueError, match="square numeric table"):
+        wigner_function(np.full((4, 4), "a"))
+    for bad in (np.full((4, 4), "a"), np.full((4, 4), 1j)):
+        with pytest.raises(ValueError, match=r"real \(2N, 2N\)"):
+            wigner_overlap(bad, bad)
+
+
 def test_wigner_rejects_too_small_torus():
     with pytest.raises(ValueError, match=">= 2"):
         wigner_function(np.ones((1, 1)))
