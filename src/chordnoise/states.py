@@ -8,19 +8,19 @@ convention with dimension extended to 2N: point operators
 
 where U shifts position by one, V boosts momentum by one and R is parity.
 Traces against these give a real 2N x 2N table for Hermitian input whose sum
-over the full grid equals Tr(rho). Its quadrants are exact sign copies of
-the N x N block: W[q + aN, p + bN] = (-1)^(bq + ap + abN) W[q, p] for
-q, p < N and a, b in {0, 1}, since exp(i*pi*(q+aN)(p+bN)/N) =
-(-1)^(bq + ap + abN) exp(i*pi*q*p/N). Half of the grid points carry the
-interference between periodic images; on even-N tori the even-even subgrid
-alone also sums to Tr(rho).
+over the full grid equals Tr(rho). Its N x N block is the chord transform of
+rho R, and its quadrants are exact sign copies of the block, with the sign of
+reducing the chord label (q + aN, p + bN): W[q + aN, p + bN] =
+(-1)^(bq + ap + abN) W[q, p] for q, p < N and a, b in {0, 1}. Half of the
+grid points carry the interference between periodic images; on even-N tori
+the even-even subgrid alone also sums to Tr(rho).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .phasespace import TorusGeometry, _half_turns, _real, _square
+from .phasespace import TorusGeometry, _real, _reduction_sign, _square, chord_transform
 
 __all__ = [
     "coherent_state",
@@ -72,28 +72,20 @@ def density_from_pure(psi: np.ndarray) -> np.ndarray:
 def wigner_function(rho: np.ndarray) -> np.ndarray:
     """Read-only Wigner table W[q, p] = Tr(rho A(q, p)) over the full 2N x 2N grid.
 
-    Computed with one FFT per anti-diagonal of rho:
-    Tr(rho U^q R V^(-p)) = sum_k rho[k, (q-k) mod N] exp(-2*pi*i*k*p/N),
-    which depends on (q, p) only mod N; the half-integer structure enters
-    through the prefactor exp(i*pi*q*p/N). That prefactor is read on the
-    N x N block only, at q*p mod 2N from phasespace._half_turns, and the
-    other three quadrants are the block times exact signs: W[q + aN, p + bN]
-    == (-1)^(bq + ap + abN) * W[q, p] bit for bit. Raises on non-numeric,
-    non-Hermitian or non-finite input, for which the trace is not real.
+    The N x N block is the chord transform of rho R:
+    sum_m (rho R)[m+q, m] e^{-2*pi*i*p*m/N} = e^{2*pi*i*p*q/N} *
+    sum_k rho[k, (q-k) mod N] e^{-2*pi*i*k*p/N} turns the chord phase
+    exp(-i*pi*p*q/N) into the prefactor exp(i*pi*q*p/N). Each quadrant is
+    the block times the label-reduction sign (phasespace._reduction_sign),
+    bit for bit. Raises on non-numeric, non-Hermitian or non-finite input.
     """
     rho, n = _square(rho, "density matrix")  # rejects N < 2
     if not (np.isfinite(rho).all() and np.abs(rho - rho.conj().T).max() <= 1e-9):
         raise ValueError("input is not a finite Hermitian matrix; Wigner values would not be real")
-    m = np.arange(n)
-    anti = rho[m[None, :], (m[:, None] - m[None, :]) % n]
-    f = np.fft.fft(anti, axis=1)
-    block = (_half_turns(n)[np.outer(m, m) % (2 * n)] * f).real / (2 * n)
-    s = 1.0 - 2.0 * (m % 2)  # (-1)^j for j = 0..N-1
-    w = np.empty((2 * n, 2 * n))
-    w[:n, :n] = block
-    w[:n, n:] = block * s[:, None]
-    w[n:, :n] = block * s[None, :]
-    w[n:, n:] = block * ((-1.0) ** n * np.outer(s, s))
+    block = chord_transform(rho[:, -np.arange(n) % n], TorusGeometry(n)).real / (2 * np.sqrt(n))
+    j = np.arange(2 * n, dtype=np.int32)
+    w = np.tile(block, (2, 2))
+    w *= _reduction_sign(j[:, None], j, n)
     w.setflags(write=False)
     return w
 

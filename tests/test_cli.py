@@ -183,6 +183,28 @@ def test_a_refused_call_leaves_the_next_unchanged(tmp_path, monkeypatch):
     assert after.read_bytes() == lone.read_bytes()
 
 
+def test_dense_solve_past_the_cap_is_refused(tmp_path, capsys, monkeypatch):
+    # sigma 1e-310 covers the N=100 grid (dim 10,000), and --count 0 asks for all of it
+    def never(a):
+        raise AssertionError("dense eigvals ran")
+
+    monkeypatch.setattr(np.linalg, "eigvals", never)
+    out = tmp_path / "s.csv"
+    assert main(["propagator-spectrum", "--n", "100", "--sigma", "1e-310", "--count", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dim 10000 > 4096") and "--count" in err
+
+
+def test_memory_error_is_reported_not_raised(tmp_path, capsys, monkeypatch):
+    # stands in for `wigner --n 100000`, whose 149 GiB table is not allocated here
+    def oom(rho):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(chordnoise.cli, "wigner_function", oom)
+    assert main(["wigner", "--n", "8", "--out", str(tmp_path / "w.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate 149. GiB")
+
+
 def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     fresh, built = chordnoise.cli.build_parser, []
 

@@ -626,6 +626,20 @@ def test_leading_spectrum_logs_its_path(caplog):
     assert dense["reason"] == "Krylov dimension 969 would pass dim/2"
 
 
+def test_dense_path_is_refused_above_its_cap(monkeypatch):
+    # N=100, sigma=0.063, a=13.1: W = 33, dim 4,356; asking for every eigenvalue takes the dense path
+    _, _, ch = _standard_setup()
+    tp = build_noisy_propagator(ch, KickedMap(CAT, 0.02), 13.1)
+    assert tp.dim == 4356
+
+    def never(a):
+        raise AssertionError("dense eigvals ran")
+
+    monkeypatch.setattr(np.linalg, "eigvals", never)
+    with pytest.raises(ValueError, match=r"dim 4356 > 4096.*would pass dim/2.*count=4356"):
+        leading_spectrum(tp, tp.dim)
+
+
 def test_paper_window_passes_at_the_first_check(caplog):
     # the a=2.8 paper window (N=100, sigma=0.063, k=0.02, dim 196) passes at ARPACK's ncv
     _, _, ch = _standard_setup()

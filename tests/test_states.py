@@ -105,16 +105,17 @@ def test_states_refuse_centers_that_are_not_real_pairs(center):
 
 
 def test_wigner_matches_point_operator_oracle():
+    # even N is where the parity gather and the (-1)^(abN) term of the quadrants differ
     rng = np.random.default_rng(3)
-    n = 5
-    g = TorusGeometry(n)
-    rho = _random_density(rng, n)
-    w = wigner_function(rho)
-    for q in range(2 * n):
-        for p in range(2 * n):
-            tr = np.trace(rho @ wigner_point_operator(g, q, p))
-            assert abs(tr.imag) < 1e-13
-            assert w[q, p] == pytest.approx(tr.real, abs=1e-13)
+    for n in (2, 5, 8, 12):
+        g = TorusGeometry(n)
+        rho = _random_density(rng, n)
+        w = wigner_function(rho)
+        for q in range(2 * n):
+            for p in range(2 * n):
+                tr = np.trace(rho @ wigner_point_operator(g, q, p))
+                assert abs(tr.imag) < 1e-13
+                assert w[q, p] == pytest.approx(tr.real, abs=1e-13)
 
 
 @pytest.mark.parametrize("state", ["random", "cat"])
