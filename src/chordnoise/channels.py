@@ -105,7 +105,10 @@ def line_points(geom: TorusGeometry, n1: int, n2: int, n3: int) -> np.ndarray:
 
 def make_phase_damping_line(geom: TorusGeometry, line: tuple[int, int, int], epsilon: float) -> DiagonalChordChannel:
     """Weight N/r on each of the r points of line = (n1, n2, n3): averaging along the line."""
-    n1, n2, n3 = line
+    try:
+        n1, n2, n3 = line
+    except (TypeError, ValueError):
+        raise ValueError(f"line must be a triple (n1, n2, n3), got {line!r}") from None
     q, p = line_points(geom, n1, n2, n3).T
     w = np.zeros((geom.n, geom.n))
     w[q, p] = geom.n / len(q)

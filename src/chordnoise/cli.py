@@ -298,50 +298,42 @@ def cmd_stability(args) -> None:
     print(f"max deviation over top {args.count}: {dev:.6e}")
 
 
-def _add_channel_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=["depolarizing", "pdc-line", "gaussian"], required=True)
-    p.add_argument("--epsilon", type=float, default=1.0, help="noise strength in [0, 1]")
-    p.add_argument("--line", help="n1,n2,n3 for pdc-line")
-    p.add_argument("--sigma", type=float, help="Gaussian width (gaussian family)")
-
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", required=True, help="output file path")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--config", help="JSON file of flag defaults; explicit flags win")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chordnoise", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("channel-spectrum", help="chord-basis spectrum of a noise channel")
-    p.add_argument("--n", type=int, required=True)
-    _add_channel_flags(p)
-    _add_output_flags(p)
+    # the flags that several subcommands share, each declared once
+    size, channel, centers, output = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    size.add_argument("--n", type=int, required=True)
+    channel.add_argument("--family", choices=["depolarizing", "pdc-line", "gaussian"], required=True)
+    channel.add_argument("--epsilon", type=float, default=1.0, help="noise strength in [0, 1]")
+    channel.add_argument("--line", help="n1,n2,n3 for pdc-line")
+    channel.add_argument("--sigma", type=float, help="Gaussian width (gaussian family)")
+    centers.add_argument("--centers", default="0.4,0.25,0.6,0.75", help="q1,p1,q2,p2 of the two packets")
+    output.add_argument("--out", required=True, help="output file path")
+    output.add_argument("--format", choices=["csv", "json"], default="csv")
+    output.add_argument("--config", help="JSON file of flag defaults; explicit flags win")
+
+    p = sub.add_parser("channel-spectrum", parents=[size, channel, output], help="chord-basis spectrum of a noise channel")
     p.set_defaults(func=cmd_channel_spectrum)
 
-    p = sub.add_parser("evolve", help="one noise step on a cat state, Wigner in and out")
-    p.add_argument("--n", type=int, required=True)
-    _add_channel_flags(p)
-    p.add_argument("--centers", default="0.4,0.25,0.6,0.75", help="q1,p1,q2,p2 of the two packets")
-    _add_output_flags(p)
+    p = sub.add_parser(
+        "evolve", parents=[size, channel, centers, output], help="one noise step on a cat state, Wigner in and out"
+    )
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("wigner", help="Wigner grid of a cat state")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--centers", default="0.4,0.25,0.6,0.75", help="q1,p1,q2,p2 of the two packets")
-    _add_output_flags(p)
+    p = sub.add_parser("wigner", parents=[size, centers, output], help="Wigner grid of a cat state")
     p.set_defaults(func=cmd_wigner)
 
-    p = sub.add_parser("propagator-spectrum", help="leading spectrum of noise composed with a map")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--sigma", type=float, default=0.063)
-    p.add_argument("--k", type=float, default=0.02, help="kick strength")
-    p.add_argument("--map", default="1,1,1,2", help="a,b,c,d of the linear map")
-    p.add_argument("--a-coeff", type=float, default=2.0, dest="a_coeff")
-    p.add_argument("--count", type=int, default=0, help="eigenvalues to write (0 = all)")
-    _add_output_flags(p)
+    # a parent listed before output, so that --help keeps this order
+    own = argparse.ArgumentParser(add_help=False)
+    own.add_argument("--n", type=int, default=100)
+    own.add_argument("--sigma", type=float, default=0.063)
+    own.add_argument("--k", type=float, default=0.02, help="kick strength")
+    own.add_argument("--map", default="1,1,1,2", help="a,b,c,d of the linear map")
+    own.add_argument("--a-coeff", type=float, default=2.0, dest="a_coeff")
+    own.add_argument("--count", type=int, default=0, help="eigenvalues to write (0 = all)")
+    p = sub.add_parser("propagator-spectrum", parents=[own, output], help="leading spectrum of noise composed with a map")
     p.set_defaults(func=cmd_propagator_spectrum)
 
     p = sub.add_parser("stability", help="compare two propagator-spectrum files")
@@ -404,7 +396,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

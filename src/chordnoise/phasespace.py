@@ -70,8 +70,11 @@ def _real(value, what: str, shape=()):
 
 
 def _label(alpha) -> tuple[int, int]:
-    """A chord label (q, p) as two Python ints, else ValueError."""
-    q, p = alpha
+    """A chord label (q, p) as two Python ints, else ValueError naming it."""
+    try:
+        q, p = alpha
+    except (TypeError, ValueError):
+        raise ValueError(f"chord label must be a pair (q, p), got {alpha!r}") from None
     return _integer(q, "chord label q"), _integer(p, "chord label p")
 
 

@@ -61,8 +61,8 @@ def cat_state(geom: TorusGeometry, c1, c2) -> np.ndarray:
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
     """Rank-one projector |psi><psi| from a normalized 1-D state vector."""
     psi = np.asarray(psi)
-    if psi.ndim != 1:
-        raise ValueError(f"state vector must be 1-D, got shape {psi.shape}")
+    if psi.ndim != 1 or psi.dtype.kind not in "biufc":
+        raise ValueError(f"state vector must be a 1-D numeric array, got shape {psi.shape} and dtype {psi.dtype}")
     nrm = np.linalg.norm(psi)
     if not abs(nrm - 1.0) <= 1e-10:
         raise ValueError(f"state vector not normalized: |psi| = {nrm}")

@@ -108,6 +108,13 @@ def test_line_errors():
         make_phase_damping_line(TorusGeometry(8), (8, 0, 0), 0.5)
 
 
+@pytest.mark.parametrize("bad", [None, (1, 2), (1, 2, 3, 4)])
+def test_line_must_be_a_triple(bad):
+    # None once raised TypeError and the others the bare unpack ValueError
+    with pytest.raises(ValueError, match=r"line must be a triple \(n1, n2, n3\), got"):
+        make_phase_damping_line(TorusGeometry(8), bad, 0.5)
+
+
 def test_phase_damping_weights():
     g = TorusGeometry(8)
     line = line_points(g, 1, 1, 0)
@@ -264,6 +271,12 @@ def test_channel_rejects_bad_sigma(sigma):
         DiagonalChordChannel(TorusGeometry(8), 1.0, np.full((8, 8), 1.0 / 8), sigma=sigma)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -0.1])
+def test_gaussian_rejects_non_positive_sigma(sigma):
+    with pytest.raises(ValueError, match=f"sigma must be finite and positive, got {sigma}"):
+        make_gaussian(TorusGeometry(8), sigma)
+
+
 def test_channel_copies_caller_weights():
     w = np.full((8, 8), 1.0 / 8)
     ch = DiagonalChordChannel(TorusGeometry(8), 0.5, w)
@@ -292,6 +305,9 @@ def test_gaussian_error_names_sigma_limit():
     make_gaussian(g, limit)
     with pytest.raises(ValueError, match="negative"):
         make_gaussian(g, limit * (1 - 1e-9))
+    # a sigma below half the limit doubles the search bracket before bisecting
+    with pytest.raises(ValueError, match=r"above it at N=17 is 0\.08553$"):
+        make_gaussian(g, 0.01)
 
 
 def test_spectrum_unitality_across_families():

@@ -76,6 +76,13 @@ def test_gaussian_requires_sigma(tmp_path, capsys):
     assert "--sigma" in capsys.readouterr().err
 
 
+def test_pdc_line_requires_line(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--n", "8", "--family", "pdc-line", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --line is required for --family pdc-line\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family, flags, named", [
     ("depolarizing", ["--line", "1,2,3"], "--line"),
     ("gaussian", ["--sigma", "0.3", "--line", "0,1,0"], "--line"),
@@ -259,6 +266,14 @@ def test_stability_reads_blank_lines_and_refuses_malformed_tables(tmp_path, caps
         assert main(["stability", "--inputs", str(good), str(bad), "--count", "5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+
+
+def test_stability_refuses_a_table_without_re_and_im(tmp_path, capsys):
+    spec, grid = tmp_path / "s.csv", tmp_path / "e.csv"
+    assert main(["propagator-spectrum", "--n", "20", "--sigma", "0.3", "--count", "3", "--out", str(spec)]) == 0
+    assert main(["evolve", "--n", "4", "--family", "depolarizing", "--out", str(grid)]) == 0
+    assert main(["stability", "--inputs", str(spec), str(grid), "--count", "3"]) == 2
+    assert capsys.readouterr().err == f"error: {grid} has no re/im columns\n"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -718,6 +733,16 @@ def test_config_command_must_match(tmp_path, capsys):
     assert main(["evolve", "--config", str(cfg), "--family", "depolarizing", "--out", str(tmp_path / "x.csv")]) == 2
     assert "error: --config" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_needs_a_path_to_a_json_object(tmp_path, capsys):
+    out, cfg = tmp_path / "x.csv", tmp_path / "list.json"
+    assert main(["wigner", "--n", "8", "--out", str(out), "--config"]) == 2
+    assert capsys.readouterr().err == "error: --config needs a file path\n"
+    cfg.write_text(json.dumps(["--n", "8"]))
+    assert main(["wigner", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --config {cfg} must hold a json object of flags\n"
+    assert not out.exists()
 
 
 def test_config_lists_give_one_argument_per_element(tmp_path, capsys):

@@ -115,6 +115,14 @@ def test_chord_labels_must_be_integers(use, bad):
     assert np.array_equal(good, LABEL_USERS[use]((1, 2)))
 
 
+@pytest.mark.parametrize("bad", [5, None, (1, 2, 3), (1,)])
+@pytest.mark.parametrize("use", LABEL_USERS)
+def test_chord_labels_must_be_pairs(use, bad):
+    # these once escaped as TypeError or as the bare unpack ValueError, which names no label
+    with pytest.raises(ValueError, match=r"chord label must be a pair \(q, p\), got"):
+        LABEL_USERS[use](bad)
+
+
 def test_orthogonality():
     n = 5
     g = TorusGeometry(n)

@@ -79,6 +79,10 @@ def test_density_from_pure():
         with pytest.raises(ValueError, match="1-D"):
             density_from_pure(not_a_vector)
     assert np.array_equal(density_from_pure([1.0, 0.0]), np.diag([1.0, 0.0]))  # once an AttributeError
+    # once a TypeError from np.linalg.norm and numpy's "could not convert string to float"
+    for not_numeric in ([None, 1], ["a", "b"]):
+        with pytest.raises(ValueError, match="1-D numeric"):
+            density_from_pure(not_numeric)
 
 
 @pytest.mark.parametrize(
