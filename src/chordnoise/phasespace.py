@@ -158,11 +158,11 @@ def _diagonals(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _square(a, what: str, dtype=None) -> tuple[np.ndarray, int]:
-    """a as a numeric (N, N) array, cast to dtype unless None, and N, which TorusGeometry checks; else ValueError."""
+    """a as a numeric (N, N) array, cast to dtype (bool to float if None), and N, which TorusGeometry checks; else ValueError."""
     a = np.asarray(a)
     if a.ndim != 2 or len(a) != a.shape[1] or a.dtype.kind not in "biufc":
         raise ValueError(f"{what} must be a square numeric table, got shape {a.shape} and dtype {a.dtype}")
-    return a.astype(dtype or a.dtype, copy=False), TorusGeometry(len(a)).n
+    return a.astype(dtype or (float if a.dtype.kind == "b" else a.dtype), copy=False), TorusGeometry(len(a)).n
 
 
 def chord_transform(a: np.ndarray, geom: TorusGeometry) -> np.ndarray:

@@ -24,14 +24,16 @@ kept target t fixes m, through P' = t for a shear (Q' = q) and Q' = t for
 (Q' mod N, P' mod N), where (Q', P') = M(q, p+m) and s is the sign of
 reducing T_(Q',P') (phasespace._reduction_sign). As p + m depends on (q, t)
 only, so does the image: (q, t) for a shear, (t, b(d t - q)) for |b| = 1, as
-c = b(ad - 1) when b^2 = 1. So a k x k table of the image row, s and Sigma
-gives each column of one q the same kept rows, and a k x 2N table holds
-c_m(q) e^{-i pi q m/N}, a function of (q, m mod 2N): O(k^2 + entries + k N log N)
-for k kept offsets per axis, at most k entries per column, never a dim x dim
-array (the dim-576 window at N=100, sigma=0.063, a=4.8 holds 6,912 of 331,776).
+c = b(ad - 1) when b^2 = 1. Distinct (q, t) have distinct images, so each
+row takes terms from one q: the window is block diagonal with its rows
+permuted, a k x k block per q on the rows of a k x k table of the image
+row, s and Sigma; a k x 2N table holds c_m(q) e^{-i pi q m/N} on
+(q, m mod 2N). That is O(k^3 + k N log N) for k kept offsets per axis,
+never a dim x dim array (the dim-576 window at N=100, sigma=0.063, a=4.8
+has 6,912 of 331,776 entries inside).
 Every such entry is real: phi is even, so the substitution n -> -n - q gives
 conj c_m(q) = e^{-2 pi i q m/N} c_m(q), and c_m(q) e^{-i pi q m/N} is real.
-The entries are therefore stored in Sigma's dtype, float64 for the exactly
+The blocks are therefore stored in Sigma's dtype, float64 for the exactly
 even weights of make_gaussian (see channels.channel_spectrum), complex128
 for a channel whose Sigma is not real.
 
@@ -76,7 +78,7 @@ The leading eigenvalues come from an Arnoldi iteration in the window's own
 dtype, whose Krylov space grows by a quarter after each failed convergence
 check, with the dense eigensolver as fallback (see leading_spectrum). It
 only multiplies by the window: by the dense matrix, or by a kicked
-window's stored entries, O(k^3) per product instead of O(k^4), so the
+window's blocks, O(k^3) per product instead of O(k^4), so the
 Krylov path never forms a kicked window's dim x dim matrix.
 """
 
@@ -108,39 +110,42 @@ _DENSE_DIM_CAP = 4096
 
 
 class TruncatedPropagator:
-    """The windowed propagator over kept_modes, held as a dense matrix or as its stored entries.
+    """The windowed propagator over kept_modes, held as a dense matrix or as its column blocks.
 
     kept_modes is a read-only (dim, 2) integer array of canonical chord labels
     (q, p) in matrix order: q-major, each axis in centered order, lowest first.
     TruncatedPropagator(kept_modes, matrix) holds a dense (dim, dim) window,
-    as the dense-u build makes; entries is then None.
-    TruncatedPropagator(kept_modes, entries=(rows, cols, values)) holds a
-    window as its stored entries, as the KickedMap build makes: three 1-D
-    arrays of one length, integer row and column indices in [0, dim), each
-    (row, col) at most once, every other entry zero. entries is then that
-    triple, and matrix is formed from it on each access and not kept. All
-    arrays are read with np.asarray, so an ndarray is frozen in place, with
-    no copy; labels must be integers and values numeric, and any other
-    dtypes or shapes raise ValueError. matrix is read-only; it and the values
-    have dtype, float64 under a channel with a real Sigma for a KickedMap or
-    a parity-symmetric u, complex128 otherwise (see the module docstring).
+    as the dense-u build makes; blocks is then None.
+    TruncatedPropagator(kept_modes, blocks=(rows, values)) holds a window of
+    dim = k^2 as its column blocks, as the KickedMap build makes: rows is a
+    (k, k) integer table over column offset q and target t, in [0, dim],
+    distinct below dim, dim for a target outside; column q k + p holds the
+    (k, k, k) values[p, q, t] at row rows[q, t], other entries zero. blocks
+    is then that pair, and matrix is formed from it on each access and not
+    kept. All arrays are read with np.asarray, so an ndarray is frozen in
+    place, with no copy; labels must be integers and values numeric, and any
+    other dtypes or shapes raise ValueError. matrix is read-only; it and the
+    values have dtype, float64 under a channel with a real Sigma for a
+    KickedMap or a parity-symmetric u, complex128 otherwise (see the module
+    docstring).
     """
 
     __slots__ = ("_kept", "_window")
 
-    def __init__(self, kept_modes, matrix=None, *, entries=None):
-        if (matrix is None) == (entries is None):
-            raise ValueError("give the window as a matrix or as entries=(rows, cols, values), not both or neither")
+    def __init__(self, kept_modes, matrix=None, *, blocks=None):
+        if (matrix is None) == (blocks is None):
+            raise ValueError("give the window as a matrix or as blocks=(rows, values), not both or neither")
         kept = np.asarray(kept_modes)
         dim = len(kept) if kept.ndim else 0
-        if entries is None:
+        if blocks is None:
             window, need = (np.asarray(matrix),), "(dim, dim)"
             ok = window[0].shape == (dim, dim)
         else:
-            window = tuple(np.asarray(x) for x in entries)
-            need = "equal-length 1-D arrays, the first two of indices in [0, dim)"
-            ok = len(window) == 3 and window[0].ndim == 1 and all(x.shape == window[0].shape for x in window)
-            ok = ok and all(x.dtype.kind in "iu" and (not x.size or (x.min() >= 0 and x.max() < dim)) for x in window[:2])
+            window = tuple(np.asarray(x) for x in blocks)
+            rows, k, need = window[0], round(dim**0.5), "(k, k) rows in [0, dim], distinct below dim, (k, k, k) values, dim = k^2"
+            ok = len(window) == 2 and k * k == dim and rows.shape == (k, k) and window[1].shape == (k, k, k)
+            ok = ok and rows.dtype.kind in "iu" and (not k or (rows.min() >= 0 and rows.max() <= dim))
+            ok = ok and (np.bincount(rows.ravel().astype(np.intp), minlength=dim + 1)[:dim] <= 1).all()
         if not (ok and kept.shape == (dim, 2) and kept.dtype.kind in "iu" and window[-1].dtype.kind in "biufc"):
             raise ValueError(f"kept_modes {kept.shape} {kept.dtype} and window {[(x.shape, str(x.dtype)) for x in window]}: "
                              f"need (dim, 2) and {need}, integer labels and numeric values")
@@ -153,18 +158,18 @@ class TruncatedPropagator:
         return self._kept
 
     @property
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        return self._window if len(self._window) == 3 else None
+    def blocks(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return self._window if len(self._window) == 2 else None
 
     @property
     def matrix(self) -> np.ndarray:
-        if self.entries is None:
+        if self.blocks is None:
             return self._window[0]
-        rows, cols, vals = self._window
-        mat = np.zeros((self.dim, self.dim), dtype=vals.dtype)
-        mat[rows, cols] = vals
+        (rows, vals), k = self._window, len(self._window[0])
+        mat = np.zeros((self.dim + 1, self.dim), dtype=vals.dtype)  # row dim takes the targets outside
+        mat[rows, np.arange(k * k).reshape(k, k).T[:, :, None]] = vals
         mat.setflags(write=False)
-        return mat
+        return mat[:-1]
 
     @property
     def dim(self) -> int:
@@ -268,12 +273,8 @@ def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> tup
     return blocks, mirrored
 
 
-def _covariant_entries(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stored entries of U_M K's window by the module docstring's rule, no u formed.
-
-    Returns (rows, cols, values) in the order the fill makes them: column
-    (q, p) by column, then target t, the kept rows of each column.
-    """
+def _covariant_blocks(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column blocks (rows, values) of U_M K's window by the module docstring's rule, no u formed."""
     m = km.spec
     k = len(offs)
     phi = _kick_phase(n, km.kick)
@@ -288,9 +289,9 @@ def _covariant_entries(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarra
     m0 = t - m.c * q if m.b == 0 else m.b * (t - m.a * q)
     qq, pp = m.a * q + m.b * m0, m.c * q + m.d * m0
     rq, rp = row[qq], row[pp % n]
-    rows, scale = rq * k + rp, sigma[rq, rp] * _reduction_sign(qq, pp, n)  # scale is Sigma s on the image row
-    iq, ip, it = np.nonzero(np.broadcast_to((rp >= 0)[:, None], (k, k, k)))  # column (q, p), kept target
-    return rows[iq, it], iq * k + ip, scale[iq, it] * coef[iq, (m0[iq, it] - offs[ip]) % (2 * n)]
+    scale = np.where(rp >= 0, sigma[rq, rp] * _reduction_sign(qq, pp, n), 0)  # Sigma s on a kept image row
+    # values[p, q, t] in one gather
+    return np.where(rp >= 0, rq * k + rp, k * k), scale * coef[np.arange(k)[:, None], (m0 - offs[:, None, None]) % (2 * n)]
 
 
 def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) -> TruncatedPropagator:
@@ -299,11 +300,11 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     evolution is a KickedMap or a dense N x N unitary u. A KickedMap's window
     comes from covariance alone, with no u formed, through the module
     docstring's k x k row table and k x 2N coefficient table,
-    O(k^2 + entries + k N log N) for k kept offsets per axis. It is held as
-    its stored entries (TruncatedPropagator.entries), at most k per column,
-    the same rows for every column of one q, with no dim x dim array formed;
-    they have Sigma's dtype, float64 for a Gaussian channel. Its map must
-    pass quantize_linear_map's rule, with the same ValueError. A dense u must
+    O(k^3 + k N log N) for k kept offsets per axis. It is held as its
+    column blocks (TruncatedPropagator.blocks), one per q on distinct rows,
+    with no dim x dim array formed; they have Sigma's dtype, float64 for a
+    Gaussian channel. Its map must pass quantize_linear_map's rule, with the
+    same ValueError. A dense u must
     be numeric, finite and unitary; its entries come from the bilinear form, O(k N^2)
     per (q', q) block, O(k^3 N^2) in all, with about half the blocks filled
     from their mirror (-q', -q) by conjugation; besides the window it holds
@@ -318,9 +319,9 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
 
     Logs one DEBUG record to the "chordnoise.spectral" logger with the branch
     (kicked or dense), dim, the window's dtype (float64 or complex128), the
-    entries it stores (dim^2 for a dense window), the (q', q) blocks
-    computed and mirrored (all k^2 computed on the kicked branch) and the
-    seconds taken.
+    entries it stores (dim^2 for a dense window, k per kept kicked target),
+    the (q', q) blocks computed and mirrored (all k^2 computed on the kicked
+    branch) and the seconds taken.
     """
     start = time.perf_counter()
     n = ch.geometry.n
@@ -340,8 +341,8 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
     k = len(offs)
     kept = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
     if kicked:
-        tp, mirrored = TruncatedPropagator(kept, entries=_covariant_entries(evolution, n, offs, sigma)), 0
-        stored = len(tp.entries[0])
+        tp, mirrored = TruncatedPropagator(kept, blocks=_covariant_blocks(evolution, n, offs, sigma)), 0
+        stored = k * np.count_nonzero(tp.blocks[0] < k * k)
     else:
         blocks, mirrored = _bilinear_entries(u, offs, sigma)
         tp, stored = TruncatedPropagator(kept, blocks.reshape(k * k, k * k)), k**4
@@ -367,19 +368,16 @@ def sort_by_modulus(vals: np.ndarray) -> np.ndarray:
 
 
 def _matvec(tp: TruncatedPropagator):
-    """x -> window @ x: the dense product, or for stored entries np.bincount over rows in the entries' order."""
-    if tp.entries is None:
+    """x -> window @ x: the dense product, or for column blocks each row's terms summed in p order."""
+    if tp.blocks is None:
         return tp.matrix.__matmul__
-    (rows, cols, vals), dim = tp.entries, tp.dim
+    (rows, vals), dim = tp.blocks, tp.dim
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        terms = vals * x[cols]
-        if terms.dtype.kind != "c":
-            return np.bincount(rows, weights=terms, minlength=dim)
-        out = np.empty(dim, dtype=complex)  # bincount takes real weights only
-        out.real = np.bincount(rows, weights=terms.real, minlength=dim)
-        out.imag = np.bincount(rows, weights=terms.imag, minlength=dim)
-        return out
+        terms = (vals * x.reshape(len(rows), -1).T[:, :, None]).sum(axis=0)  # [q, t], over the outer axis p
+        out = np.zeros(dim + 1, dtype=terms.dtype)  # out[dim] takes the targets outside the window
+        out[rows] = terms
+        return out[:dim]
 
     return matvec
 
@@ -429,10 +427,9 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
 
     Arnoldi iteration (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998)
     in the window's own dtype (tp.dtype), which only multiplies vectors by
-    the window: tp.matrix @ x for a dense window; for one held as entries,
-    np.bincount over the rows of values * x[cols], summed in the entries'
-    order (real and imaginary parts apart for a complex window), which never
-    forms tp.matrix. From a fixed-seed Gaussian start vector, g[0] for a
+    the window: tp.matrix @ x for a dense window; for one held as blocks,
+    values * x summed over p, so each row adds its k terms in p order, which
+    never forms tp.matrix. From a fixed-seed Gaussian start vector, g[0] for a
     real window and g[0] + 1j g[1] for a complex one, orthogonalized by
     classical Gram-Schmidt applied twice per step, the Krylov dimension m
     starts at 2 count + 1 (ARPACK's default ncv) and grows by ceil(m/4) after
@@ -443,7 +440,7 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     k=0.2 the top 20 first pass at m = 43 to 48, float64 or complex, and m
     stops at 52 after checks at 41 and 52.
     The result is deterministic and always complex128. The dense
-    np.linalg.eigvals of tp.matrix, formed from the entries if need be, is
+    np.linalg.eigvals of tp.matrix, formed from the blocks if need be, is
     used instead when the next m would pass dim/2 before the top values
     pass (at once for count near dim), or when the Krylov space turns out
     invariant, since one start vector cannot see repeated eigenvalues;
@@ -461,7 +458,7 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     windows the two paths agree on the top 3 to 3e-11 (dim 196) and 7e-12
     (dim 576), and on the top 20 only to 1e-4 and 2e-4; at k=0.2 and k=1.0
     (dim 576) the top 20 agree to 4e-7 and 2e-15. Which rounding the matvec
-    makes can move the stop: summing the same entries per row in another
+    makes can move the stop: summing the same terms per row in another
     order moved the dim-196 window's stop from m = 41 to 52.
 
     Logs one DEBUG record to the "chordnoise.spectral" logger with dim,

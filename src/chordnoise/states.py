@@ -66,7 +66,7 @@ def density_from_pure(psi: np.ndarray) -> np.ndarray:
     nrm = np.linalg.norm(psi)
     if not abs(nrm - 1.0) <= 1e-10:
         raise ValueError(f"state vector not normalized: |psi| = {nrm}")
-    return np.outer(psi, psi.conj())
+    return np.outer(psi, psi.conj()).astype(float if psi.dtype.kind == "b" else psi.dtype, copy=False)
 
 
 def wigner_function(rho: np.ndarray) -> np.ndarray:

@@ -160,6 +160,8 @@ def test_line_spectrum_closed_form_vs_oracle():
             np.sort_complex(np.round(oracle.ravel(), 12)),
             atol=1e-12,
         )
+    with pytest.raises(ValueError, match="closed form needs n1 or n2 nonzero mod N"):
+        line_spectrum_closed_form(TorusGeometry(4), 4, 8, 1, 0.3)
 
 
 def test_horizontal_line_unit_eigenvalue_count():
@@ -406,6 +408,8 @@ def test_su_n_generator_superoperator_matches_depolarizing():
         built = su_n_generator_superoperator(g, 0.63)
         direct = channel_superoperator_matrix(make_depolarizing(g, 0.63))
         assert np.abs(built - direct).max() < 1e-10
+    with pytest.raises(ValueError, match=r"epsilon must be in \[0, 1\]"):
+        su_n_generator_superoperator(g, 1.5)
 
 
 def test_su_2_generators_are_paulis_up_to_sign():

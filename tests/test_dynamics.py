@@ -381,6 +381,8 @@ def test_supermatrix_scale_guard():
     n = ORACLE_N_CAP + 1
     with pytest.raises(ValueError, match="capped"):
         chord_supermatrix(TorusGeometry(n), np.eye(n, dtype=complex))
+    with pytest.raises(ValueError, match=r"unitary shape \(3, 3\) does not match N=4"):
+        chord_supermatrix(TorusGeometry(4), np.eye(3))
 
 
 def test_composition_phase_consistency():

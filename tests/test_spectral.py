@@ -47,6 +47,20 @@ def _kicked_u(g, k):
     return quantize_linear_map(g, CAT) * np.diag(nonlinear_kick(g, k))
 
 
+def _row_ordered_matvec(tp, x):
+    """tp.matrix @ x with each row's terms added from 0 in p order, over the one q its nonzeros share."""
+    k = round(tp.dim**0.5)
+    mat = tp.matrix.reshape(tp.dim, k, k)  # [row, q, p]
+    nonzero_qs = np.count_nonzero(mat, axis=2)
+    assert (nonzero_qs > 0).sum(axis=1).max() <= 1
+    q = nonzero_qs.argmax(axis=1)
+    terms, xs = mat[np.arange(tp.dim), q], x.reshape(k, k)[q]  # [row, p]
+    out = np.zeros(tp.dim, dtype=np.result_type(terms, x))
+    for p in range(k):
+        out += terms[:, p] * xs[:, p]
+    return out
+
+
 def _records(caplog):
     """The key=value fields of each chordnoise.spectral record, its free text after 'reason: ' as 'reason'."""
     out = []
@@ -152,12 +166,11 @@ def test_kicked_map_matches_the_dense_build(n):
             tp = build_noisy_propagator(ch, KickedMap(m, k), 2.0)
             assert tp.dim == 36 and np.array_equal(tp.kept_modes, dense.kept_modes)
             assert np.abs(tp.matrix - dense.matrix).max() < 1e-12, (m, k)
-            # the fill rests on this: column (q, p) stores the same rows for every p that shares its q
-            rows, cols, _ = tp.entries
-            stored = np.zeros((36, 36), dtype=bool)
-            stored[rows, cols] = True
-            by_q = stored.reshape(36, 6, 6)  # [row, q, p]
-            assert (by_q == by_q[:, :, :1]).all(), (m, k)
+            # the blocks rest on this: the targets of one q land on distinct rows, row 36 outside
+            rows, values = tp.blocks
+            inside = rows < 36
+            assert len(np.unique(rows[inside])) == inside.sum(), (m, k)
+            assert not values[:, ~inside].any(), (m, k)
     assert accepted == 69
 
 
@@ -269,9 +282,9 @@ def test_build_logs_its_branch_and_blocks(caplog):
     assert all(float(r["seconds"]) >= 0 for r in records)
 
 
-def test_kicked_window_is_stored_as_its_entries():
+def test_kicked_window_is_stored_as_its_blocks():
     # N=100, sigma=0.063, a=9.2: W = 23, dim 2,116, whose dense float64 matrix takes 35.8 MB;
-    # the build stores 48,668 entries and the Krylov solve multiplies by them
+    # the build stores 48,668 entries in its blocks and the Krylov solve multiplies by them
     _, _, ch = _standard_setup()
     tracemalloc.start()
     try:
@@ -283,59 +296,77 @@ def test_kicked_window_is_stored_as_its_entries():
         tracemalloc.stop()
     assert tp.dim == 2116
     assert peak < 0.5 * tp.dim**2 * 8
-    # the fill's tables are k x k and k x 2N, so the build holds little beyond the entries (2.9x)
-    assert build_peak < 5 * sum(x.nbytes for x in tp.entries)
-    rows, cols, values = tp.entries
-    assert len(rows) == 48668 and values.dtype == tp.dtype == np.float64
-    assert not any(x.flags.writeable for x in tp.entries)
-    assert len(np.unique(rows * tp.dim + cols)) == len(rows)  # each (row, col) at most once
+    # the fill's tables are k x k and k x 2N, so the build holds little beyond the blocks (2.4x)
+    held = sum(x.nbytes for x in tp.blocks)
+    assert build_peak < 5 * held and held <= 0.81e6
+    rows, values = tp.blocks
+    inside = rows < tp.dim
+    assert 46 * inside.sum() == 48668 and values.dtype == tp.dtype == np.float64
+    assert not any(x.flags.writeable for x in tp.blocks)
+    assert len(np.unique(rows[inside])) == inside.sum()  # each row from one (q, t)
     mat = tp.matrix
     assert not mat.flags.writeable and tp.matrix is not tp.matrix  # formed on each access, not kept
     window = np.zeros((tp.dim, tp.dim))
-    window[rows, cols] = values
+    q, t = np.nonzero(inside)
+    for p in range(46):
+        window[rows[q, t], 46 * q + p] = values[p, q, t]
     assert np.array_equal(mat, window)
 
 
-def test_complex_kicked_window_solves_through_its_entries(caplog):
+@pytest.mark.parametrize("a_coeff", [2.8, 4.8])
+def test_kicked_matvec_adds_each_row_in_p_order(a_coeff):
+    # the pinned Krylov stops on the paper windows rest on this order of summation (see leading_spectrum)
+    _, _, ch = _standard_setup()
+    tp = build_noisy_propagator(ch, KickedMap(CAT, 0.02), a_coeff)
+    x = np.random.default_rng(5).standard_normal(tp.dim)
+    assert tp.dtype == np.float64 and np.array_equal(_matvec(tp)(x), _row_ordered_matvec(tp, x))
+
+
+def test_complex_kicked_window_solves_through_its_blocks(caplog):
     # the Gaussian's weights rolled one site in q multiply Sigma by a phase, so the
-    # kicked window is complex: its entries' matvec is the matrix's, and so is its spectrum;
+    # kicked window is complex: its blocks' matvec is the matrix's, and so is its spectrum;
     # at k=0.2 the top 3 are well conditioned (at k=0.02 the two solves differ by 3e-11)
     g = TorusGeometry(100)
     gauss = make_gaussian(g, 0.063)
     ch = DiagonalChordChannel(g, gauss.epsilon, np.roll(gauss.weights, 1, axis=0), gauss.sigma)
     tp = build_noisy_propagator(ch, KickedMap(CAT, 0.2), 2.8)
-    assert tp.dim == 196 and tp.dtype == np.complex128 and tp.entries is not None
+    assert tp.dim == 196 and tp.dtype == np.complex128 and tp.blocks is not None
     caplog.set_level(logging.DEBUG, logger="chordnoise.spectral")
     top = leading_spectrum(tp, 20).eigenvalues[:3]
     assert _records(caplog)[-1]["path"] == "krylov"
     z = np.random.default_rng(5).standard_normal((2, tp.dim))
     x = z[0] + 1j * z[1]
     expected = tp.matrix @ x
-    # each row sums its entries in fill order, not in the dense product's order
+    # each row sums its terms in p order, not in the dense product's order
     assert np.abs(_matvec(tp)(x) - expected).max() <= 8 * np.finfo(float).eps * np.abs(expected).max()
+    assert np.array_equal(_matvec(tp)(x), _row_ordered_matvec(tp, x))
     dense = sort_by_modulus(np.linalg.eigvals(tp.matrix))[:3]
     assert np.abs(top - dense).max() < 1e-12
 
 
-def test_propagator_from_entries():
+def test_propagator_from_blocks():
     kept = np.argwhere(np.ones((2, 2), dtype=bool))
-    rows, cols, values = np.array([0, 3, 1]), np.array([2, 0, 1]), np.array([0.5, -1.0, 2.0])
-    tp = TruncatedPropagator(kept, entries=(rows, cols, values))
+    rows, values = np.array([[3, 0], [4, 1]]), np.arange(1.0, 9.0).reshape(2, 2, 2)
+    tp = TruncatedPropagator(kept, blocks=(rows, values))
     assert tp.dim == 4 and tp.dtype == np.float64
-    assert all(x is y for x, y in zip(tp.entries, (rows, cols, values)))  # frozen in place, no copy
+    assert all(x is y for x, y in zip(tp.blocks, (rows, values)))  # frozen in place, no copy
     assert not rows.flags.writeable and not values.flags.writeable
+    # column 2q + p holds values[p, q, t] at row rows[q, t]; row 4 lies outside, so 3.0 and 7.0 drop
     window = np.zeros((4, 4))
-    window[[0, 3, 1], [2, 0, 1]] = [0.5, -1.0, 2.0]
+    window[[3, 0, 3, 0, 1, 1], [0, 0, 1, 1, 2, 3]] = [1.0, 2.0, 5.0, 6.0, 4.0, 8.0]
     assert np.array_equal(tp.matrix, window) and not tp.matrix.flags.writeable
-    assert TruncatedPropagator(kept, np.eye(4)).entries is None
-    assert TruncatedPropagator([[0, 0]], entries=([0], [0], [1j])).matrix.dtype == np.complex128
-    for bad in (([0, 4], [0, 0], [1.0, 1.0]), ([-1], [0], [1.0]), ([0.0], [0], [1.0]), ([0, 1], [0], [1.0]),
-                ([[0]], [[0]], [[1.0]]), ([0], [0], ["a"])):
-        with pytest.raises(ValueError, match=r"indices in \[0, dim\)"):
-            TruncatedPropagator(kept, entries=bad)
-    for matrix, entries in ((None, None), (np.eye(4), (rows, cols, values))):
+    assert TruncatedPropagator(kept, np.eye(4)).blocks is None
+    assert TruncatedPropagator([[0, 0]], blocks=([[0]], [[[1j]]])).matrix.dtype == np.complex128
+    for bad in (([[0, 5], [1, 2]], values), ([[-1, 0], [1, 2]], values), ([[0.0, 1.0], [2.0, 3.0]], values),
+                (rows, values[0]), ([0, 1, 2, 3], values), (rows, [[["a"] * 2] * 2] * 2),
+                ([[0, 0], [1, 2]], values), (rows, rows, values)):
+        with pytest.raises(ValueError, match=r"rows in \[0, dim\], distinct below dim"):
+            TruncatedPropagator(kept, blocks=bad)
+    with pytest.raises(ValueError, match=r"dim = k\^2"):
+        TruncatedPropagator(kept[:3], blocks=([[0]], [[[1.0]]]))
+    for matrix, blocks in ((None, None), (np.eye(4), (rows, values))):
         with pytest.raises(ValueError, match="not both or neither"):
-            TruncatedPropagator(kept, matrix, entries=entries)
+            TruncatedPropagator(kept, matrix, blocks=blocks)
 
 
 def test_sort_by_modulus_ordering():
@@ -398,8 +429,8 @@ def test_propagator_reads_lists_and_refuses_bad_shapes():
                       ([[0.5, 0.2]], [[1.0]]), ([[0.0, 0.0]], [[1.0]]), ([[0, 0]], [["a"]]), ([[0, 0]], [[None]])):
         with pytest.raises(ValueError, match=r"need \(dim, 2\) and \(dim, dim\)"):
             TruncatedPropagator(kept, mat)
-    with pytest.raises(ValueError, match=r"indices in \[0, dim\)"):
-        TruncatedPropagator([[0.0, 0.0]], entries=([0], [0], [1.0]))
+    with pytest.raises(ValueError, match=r"rows in \[0, dim\], distinct below dim"):
+        TruncatedPropagator([[0.0, 0.0]], blocks=([[0]], [[[1.0]]]))
 
 
 def test_build_rejects_non_unitary_map():

@@ -161,6 +161,14 @@ def test_wigner_of_maximally_mixed():
     assert np.abs(w[:, 1::2]).max() < 1e-15
 
 
+def test_bool_tables_are_read_as_their_values():
+    # both once raised numpy's TypeError on "boolean subtract" in the Hermiticity check
+    rho = density_from_pure([True, False])
+    assert rho.dtype == np.float64 and np.array_equal(rho, np.diag([1.0, 0.0]))
+    assert np.array_equal(wigner_function(rho), wigner_function(np.diag([1.0, 0.0])))
+    assert np.array_equal(wigner_function(np.eye(3, dtype=bool)), wigner_function(np.eye(3)))
+
+
 def test_wigner_linearity():
     rng = np.random.default_rng(12)
     n = 6
