@@ -25,15 +25,15 @@ kept target t fixes m, through P' = t for a shear (Q' = q) and Q' = t for
 reducing T_(Q',P') (phasespace._reduction_sign). As p + m depends on (q, t)
 only, so does the image: (q, t) for a shear, (t, b(d t - q)) for |b| = 1, as
 c = b(ad - 1) when b^2 = 1. Distinct (q, t) have distinct images, so each
-row takes terms from one q: the window is block diagonal with its rows
-permuted, a k x k block per q on the rows of a k x k table of the image
-row, s and Sigma; a k x 2N table holds c_m(q) e^{-i pi q m/N} on
-(q, m mod 2N). That is O(k^3 + k N log N) for k kept offsets per axis,
-never a dim x dim array (the dim-576 window at N=100, sigma=0.063, a=4.8
-has 6,912 of 331,776 entries inside).
+row takes terms from one q. The E (q, t) whose image row is kept are
+held, q-major: each term's row, the index of its q, and its k values over
+p, Sigma s times c_m(q) e^{-i pi q m/N} from a k x 2N table on (q, m mod 2N).
+That is O(k^3 + k N log N) for k kept offsets per axis, never a dim x dim
+array (the dim-576 window at N=100, sigma=0.063, a=4.8 holds 6,912 of
+331,776 entries).
 Every such entry is real: phi is even, so the substitution n -> -n - q gives
 conj c_m(q) = e^{-2 pi i q m/N} c_m(q), and c_m(q) e^{-i pi q m/N} is real.
-The blocks are therefore stored in Sigma's dtype, float64 for the exactly
+The values thus have Sigma's dtype, float64 for the exactly
 even weights of make_gaussian (see channels.channel_spectrum), complex128
 for a channel whose Sigma is not real.
 
@@ -75,11 +75,9 @@ the float64 dense entries lie 7e-16 from the kicked ones, which lie 2e-16
 from the window evaluated in extended precision.
 
 The leading eigenvalues come from an Arnoldi iteration in the window's own
-dtype, whose Krylov space grows by a quarter after each failed convergence
-check, with the dense eigensolver as fallback (see leading_spectrum). It
-only multiplies by the window: by the dense matrix, or by a kicked
-window's blocks, O(k^3) per product instead of O(k^4), so the
-Krylov path never forms a kicked window's dim x dim matrix.
+dtype that only multiplies by the window, by a kicked window's terms in
+O(k^3) per product with no dim x dim matrix formed, and falls back to the
+dense eigensolver (see leading_spectrum).
 """
 
 from __future__ import annotations
@@ -110,42 +108,41 @@ _DENSE_DIM_CAP = 4096
 
 
 class TruncatedPropagator:
-    """The windowed propagator over kept_modes, held as a dense matrix or as its column blocks.
+    """The windowed propagator over kept_modes, held as a dense matrix or as its in-window terms.
 
     kept_modes is a read-only (dim, 2) integer array of canonical chord labels
     (q, p) in matrix order: q-major, each axis in centered order, lowest first.
     TruncatedPropagator(kept_modes, matrix) holds a dense (dim, dim) window,
     as the dense-u build makes; blocks is then None.
-    TruncatedPropagator(kept_modes, blocks=(rows, values)) holds a window of
-    dim = k^2 as its column blocks, as the KickedMap build makes: rows is a
-    (k, k) integer table over column offset q and target t, in [0, dim],
-    distinct below dim, dim for a target outside; column q k + p holds the
-    (k, k, k) values[p, q, t] at row rows[q, t], other entries zero. blocks
-    is then that pair, and matrix is formed from it on each access and not
-    kept. All arrays are read with np.asarray, so an ndarray is frozen in
-    place, with no copy; labels must be integers and values numeric, and any
-    other dtypes or shapes raise ValueError. matrix is read-only; it and the
-    values have dtype, float64 under a channel with a real Sigma for a
-    KickedMap or a parity-symmetric u, complex128 otherwise (see the module
-    docstring).
+    TruncatedPropagator(kept_modes, blocks=(rows, groups, values)) holds a
+    window of dim = k^2 as its E terms, as the KickedMap build makes: rows
+    (E,) are distinct in [0, dim), groups (E,) in [0, k), and column
+    groups[e] k + p holds the (k, E) values[p, e] at row rows[e], other
+    entries zero. blocks is then that triple, and matrix is formed from it
+    on each access and not kept. All arrays are read with np.asarray, so an
+    ndarray is frozen in place, with no copy; labels must be integers and
+    values numeric, and any other dtypes or shapes raise ValueError. matrix
+    is read-only; it and the values have dtype, float64 under a channel with
+    a real Sigma for a KickedMap or a parity-symmetric u, complex128
+    otherwise (see the module docstring).
     """
 
     __slots__ = ("_kept", "_window")
 
     def __init__(self, kept_modes, matrix=None, *, blocks=None):
         if (matrix is None) == (blocks is None):
-            raise ValueError("give the window as a matrix or as blocks=(rows, values), not both or neither")
+            raise ValueError("give the window as a matrix or as blocks=(rows, groups, values), not both or neither")
         kept = np.asarray(kept_modes)
         dim = len(kept) if kept.ndim else 0
         if blocks is None:
             window, need = (np.asarray(matrix),), "(dim, dim)"
             ok = window[0].shape == (dim, dim)
         else:
-            window = tuple(np.asarray(x) for x in blocks)
-            rows, k, need = window[0], round(dim**0.5), "(k, k) rows in [0, dim], distinct below dim, (k, k, k) values, dim = k^2"
-            ok = len(window) == 2 and k * k == dim and rows.shape == (k, k) and window[1].shape == (k, k, k)
-            ok = ok and rows.dtype.kind in "iu" and (not k or (rows.min() >= 0 and rows.max() <= dim))
-            ok = ok and (np.bincount(rows.ravel().astype(np.intp), minlength=dim + 1)[:dim] <= 1).all()
+            window, k = tuple(np.asarray(x) for x in blocks), round(dim**0.5)
+            need = "(E,) rows distinct in [0, dim), (E,) groups in [0, k), (k, E) values, dim = k^2"
+            ok = k * k == dim and len(window) == 3 and [x.shape for x in window] == [(window[0].size,)] * 2 + [(k, window[0].size)]
+            ok = ok and all(x.dtype.kind in "iu" and ((0 <= x) & (x < top)).all() for x, top in zip(window, (dim, k)))
+            ok = ok and (np.bincount(window[0].astype(np.intp), minlength=dim) <= 1).all()
         if not (ok and kept.shape == (dim, 2) and kept.dtype.kind in "iu" and window[-1].dtype.kind in "biufc"):
             raise ValueError(f"kept_modes {kept.shape} {kept.dtype} and window {[(x.shape, str(x.dtype)) for x in window]}: "
                              f"need (dim, 2) and {need}, integer labels and numeric values")
@@ -158,18 +155,18 @@ class TruncatedPropagator:
         return self._kept
 
     @property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return self._window if len(self._window) == 2 else None
+    def blocks(self) -> tuple[np.ndarray, ...] | None:
+        return self._window if len(self._window) == 3 else None
 
     @property
     def matrix(self) -> np.ndarray:
         if self.blocks is None:
             return self._window[0]
-        (rows, vals), k = self._window, len(self._window[0])
-        mat = np.zeros((self.dim + 1, self.dim), dtype=vals.dtype)  # row dim takes the targets outside
-        mat[rows, np.arange(k * k).reshape(k, k).T[:, :, None]] = vals
+        rows, groups, vals = self._window
+        mat = np.zeros((self.dim, self.dim), dtype=vals.dtype)
+        mat[rows, groups * len(vals) + np.arange(len(vals))[:, None]] = vals
         mat.setflags(write=False)
-        return mat[:-1]
+        return mat
 
     @property
     def dim(self) -> int:
@@ -196,16 +193,16 @@ class SpectrumResult:
         object.__setattr__(self, "eigenvalues", vals)
 
 
-# refuse windows whose dense dim x dim complex matrix would pass this many bytes
+# refuse windows and Krylov bases that would hold more bytes
 _WINDOW_BYTES_BUDGET = 4 * 2**30
 
 
-def _window(ch: DiagonalChordChannel, a_coeff: float) -> tuple[np.ndarray, np.ndarray]:
+def _window(ch: DiagonalChordChannel, a_coeff: float, kicked: bool) -> tuple[np.ndarray, np.ndarray]:
     """The window of the module docstring: its kept offsets and Sigma on its rows.
 
     Returns the kept offsets per axis, canonical and in centered order, and
     the (k, k) table of Sigma(q', p') on the kept rows, after checking a_coeff,
-    the channel's sigma and the _WINDOW_BYTES_BUDGET on the dense matrix.
+    the channel's sigma and the _WINDOW_BYTES_BUDGET on what the build holds.
     """
     a_coeff = _real(a_coeff, "truncation coefficient")
     if not a_coeff > 0:
@@ -218,9 +215,10 @@ def _window(ch: DiagonalChordChannel, a_coeff: float) -> tuple[np.ndarray, np.nd
     if w < 1:
         raise ValueError(f"window floor(a/(2 pi sigma)) = {w} keeps no modes; increase a_coeff")
     offs = np.arange(max(-w, -(n // 2)), min(w, (n + 1) // 2)) % n
-    dim = len(offs) ** 2
-    if dim**2 * 16 > _WINDOW_BYTES_BUDGET:
-        raise ValueError(f"a dim-{dim} window needs {dim**2 * 16:,} bytes as a dense complex matrix, "
+    k = len(offs)
+    held, what = (k**3 * 16 + 8 * k * k, "its in-window terms at most") if kicked else (k**4 * 16, "a dense complex matrix")
+    if held > _WINDOW_BYTES_BUDGET:
+        raise ValueError(f"a dim-{k * k} window needs {held:,} bytes as {what}, "
                          f"over the {_WINDOW_BYTES_BUDGET:,}-byte budget; decrease a_coeff")
     return offs, channel_spectrum(ch).values[np.ix_(offs, offs)]
 
@@ -273,8 +271,8 @@ def _bilinear_entries(u: np.ndarray, offs: np.ndarray, sigma: np.ndarray) -> tup
     return blocks, mirrored
 
 
-def _covariant_blocks(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column blocks (rows, values) of U_M K's window by the module docstring's rule, no u formed."""
+def _covariant_blocks(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, ...]:
+    """In-window terms (rows, groups, values) of U_M K by the module docstring's rule, no u formed."""
     m = km.spec
     k = len(offs)
     phi = _kick_phase(n, km.kick)
@@ -282,40 +280,38 @@ def _covariant_blocks(km: KickedMap, n: int, offs: np.ndarray, sigma: np.ndarray
     turns = np.arange(2 * n)
     # c_m(q) e^{-i pi q m/N} on m mod 2N, real up to rounding (module docstring), so the window has Sigma's dtype
     coef = (coef[:, turns % n] * np.exp(-1j * np.pi * turns / n)[offs[:, None] * turns % (2 * n)]).real
-    row = np.full(n, -1)
+    row = np.full(n, -1, dtype=np.int32)
     row[offs] = np.arange(k)
     # column q and target t fix m + p = m0, so the image M(q, p + m), its row and its sign do not depend on p
-    q, t = offs[:, None], offs
-    m0 = t - m.c * q if m.b == 0 else m.b * (t - m.a * q)
+    m0 = offs - m.c * offs[:, None] if m.b == 0 else m.b * (offs - m.a * offs[:, None])
+    group, t = np.nonzero(row[(m.c * offs[:, None] + m.d * m0) % n] >= 0)  # (q, t) with a kept image row, q-major
+    q, m0, group = offs[group], m0[group, t], group.astype(np.int32)
     qq, pp = m.a * q + m.b * m0, m.c * q + m.d * m0
     rq, rp = row[qq], row[pp % n]
-    scale = np.where(rp >= 0, sigma[rq, rp] * _reduction_sign(qq, pp, n), 0)  # Sigma s on a kept image row
-    # values[p, q, t] in one gather
-    return np.where(rp >= 0, rq * k + rp, k * k), scale * coef[np.arange(k)[:, None], (m0 - offs[:, None, None]) % (2 * n)]
+    # values[p, e]: Sigma s on the image row times c_(m0 - p)(q)
+    return rq * k + rp, group, sigma[rq, rp] * _reduction_sign(qq, pp, n) * coef[group, (m0 - offs[:, None]) % (2 * n)]
 
 
 def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) -> TruncatedPropagator:
     """Windowed propagator of (noise after map) on chord coefficients.
 
     evolution is a KickedMap or a dense N x N unitary u. A KickedMap's window
-    comes from covariance alone, with no u formed, through the module
-    docstring's k x k row table and k x 2N coefficient table,
-    O(k^3 + k N log N) for k kept offsets per axis. It is held as its
-    column blocks (TruncatedPropagator.blocks), one per q on distinct rows,
-    with no dim x dim array formed; they have Sigma's dtype, float64 for a
-    Gaussian channel. Its map must pass quantize_linear_map's rule, with the
-    same ValueError. A dense u must
-    be numeric, finite and unitary; its entries come from the bilinear form, O(k N^2)
-    per (q', q) block, O(k^3 N^2) in all, with about half the blocks filled
-    from their mirror (-q', -q) by conjugation; besides the window it holds
-    conj(u) padded by the window's half-width, one N x N buffer and a block
-    and its mirror. Its window is float64 when Sigma is real and u is parity
-    symmetric bit for bit, as quantize_linear_map(...) * np.diag(nonlinear_kick(...))
-    is, and complex128 otherwise; it is held as the dense matrix.
-    The window follows the module convention: dimension min(4 W^2, N^2),
-    kept_modes always in centered q-major order. Any other evolution, a
-    channel with sigma None (it has no window) and a window whose dense matrix
-    would pass _WINDOW_BYTES_BUDGET raise ValueError.
+    comes from covariance alone, with no u formed, by the module docstring's
+    rule, O(k^3 + k N log N) for k kept offsets per axis, and is held as its
+    in-window terms (TruncatedPropagator.blocks) in Sigma's dtype, float64
+    for a Gaussian channel. Its map must pass quantize_linear_map's rule,
+    with the same ValueError. A dense u must be numeric, finite and unitary;
+    its entries come from the bilinear form, O(k^3 N^2) in all, about half
+    the (q', q) blocks filled from their mirror (-q', -q); besides the window
+    it holds conj(u) padded by the window's half-width, one N x N buffer and
+    a block and its mirror. Its window is float64 when Sigma is real and u is
+    parity symmetric bit for bit, as quantize_linear_map(...) *
+    np.diag(nonlinear_kick(...)) is, and complex128 otherwise; it is held as
+    the dense matrix. The window follows the module convention: dimension
+    min(4 W^2, N^2), kept_modes in centered q-major order. Any other
+    evolution, a channel with sigma None (it has no window) and a window
+    whose build would hold more than _WINDOW_BYTES_BUDGET (16 k^3 + 8 k^2
+    bytes kicked, 16 dim^2 dense) raise ValueError.
 
     Logs one DEBUG record to the "chordnoise.spectral" logger with the branch
     (kicked or dense), dim, the window's dtype (float64 or complex128), the
@@ -337,18 +333,17 @@ def build_noisy_propagator(ch: DiagonalChordChannel, evolution, a_coeff: float) 
             raise ValueError(f"u is not unitary (deviation {uerr:.2e})")
     else:
         raise ValueError(f"evolution must be a KickedMap or an N x N array, got {type(evolution).__name__}")
-    offs, sigma = _window(ch, a_coeff)
+    offs, sigma = _window(ch, a_coeff, kicked)
     k = len(offs)
     kept = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
     if kicked:
         tp, mirrored = TruncatedPropagator(kept, blocks=_covariant_blocks(evolution, n, offs, sigma)), 0
-        stored = k * np.count_nonzero(tp.blocks[0] < k * k)
     else:
         blocks, mirrored = _bilinear_entries(u, offs, sigma)
-        tp, stored = TruncatedPropagator(kept, blocks.reshape(k * k, k * k)), k**4
+        tp = TruncatedPropagator(kept, blocks.reshape(k * k, k * k))
     _log.debug(
         "build_noisy_propagator branch=%s dim=%d dtype=%s entries=%d blocks_computed=%d blocks_mirrored=%d seconds=%.4f",
-        "kicked" if kicked else "dense", k * k, tp.dtype, stored, k * k - mirrored, mirrored, time.perf_counter() - start,
+        "kicked" if kicked else "dense", tp.dim, tp.dtype, tp._window[-1].size, k * k - mirrored, mirrored, time.perf_counter() - start
     )
     return tp
 
@@ -368,16 +363,16 @@ def sort_by_modulus(vals: np.ndarray) -> np.ndarray:
 
 
 def _matvec(tp: TruncatedPropagator):
-    """x -> window @ x: the dense product, or for column blocks each row's terms summed in p order."""
+    """x -> window @ x: the dense product, or each row's k terms summed in p order."""
     if tp.blocks is None:
         return tp.matrix.__matmul__
-    (rows, vals), dim = tp.blocks, tp.dim
+    (rows, groups, vals), dim = tp.blocks, tp.dim
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        terms = (vals * x.reshape(len(rows), -1).T[:, :, None]).sum(axis=0)  # [q, t], over the outer axis p
-        out = np.zeros(dim + 1, dtype=terms.dtype)  # out[dim] takes the targets outside the window
-        out[rows] = terms
-        return out[:dim]
+        out = np.zeros(dim, dtype=np.result_type(vals, x))
+        # not *: in place on the gathered copy it is copy * vals, whose complex bits differ
+        out[rows] = np.multiply(vals, x.reshape(len(vals), -1).T.take(groups, axis=1)).sum(axis=0)
+        return out
 
     return matvec
 
@@ -397,7 +392,7 @@ def _arnoldi_top(matvec, dim: int, dtype: np.dtype, count: int):
     v0 = g[0] + 1j * g[1] if np.dtype(dtype).kind == "c" else g[0]
     basis = (v0 / np.linalg.norm(v0))[None]  # rows are the Arnoldi vectors
     hess = np.zeros((1, 0), dtype=basis.dtype)
-    while m <= dim / 2:
+    while m <= dim / 2 and m * dim * basis.itemsize <= _WINDOW_BYTES_BUDGET:
         basis = np.pad(basis, ((0, m - done), (0, 0)))
         hess = np.pad(hess, ((0, m - done), (0, m - done)))
         for j in range(done, m):
@@ -419,7 +414,8 @@ def _arnoldi_top(matvec, dim: int, dtype: np.dtype, count: int):
         if worst <= _EPS:
             return theta[top], m, checks, worst, None
         m += (m + 3) // 4  # ceil(m/4)
-    return None, done, checks, worst, f"Krylov dimension {m} would pass dim/2"
+    why = "dim/2" if m > dim / 2 else f"the {_WINDOW_BYTES_BUDGET:,}-byte budget with a {m * dim * basis.itemsize:,}-byte basis"
+    return None, done, checks, worst, f"Krylov dimension {m} would pass {why}"
 
 
 def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
@@ -427,7 +423,7 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
 
     Arnoldi iteration (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998)
     in the window's own dtype (tp.dtype), which only multiplies vectors by
-    the window: tp.matrix @ x for a dense window; for one held as blocks,
+    the window: tp.matrix @ x for a dense window; for one held as terms,
     values * x summed over p, so each row adds its k terms in p order, which
     never forms tp.matrix. From a fixed-seed Gaussian start vector, g[0] for a
     real window and g[0] + 1j g[1] for a complex one, orthogonalized by
@@ -440,10 +436,10 @@ def leading_spectrum(tp: TruncatedPropagator, count: int) -> SpectrumResult:
     k=0.2 the top 20 first pass at m = 43 to 48, float64 or complex, and m
     stops at 52 after checks at 41 and 52.
     The result is deterministic and always complex128. The dense
-    np.linalg.eigvals of tp.matrix, formed from the blocks if need be, is
-    used instead when the next m would pass dim/2 before the top values
-    pass (at once for count near dim), or when the Krylov space turns out
-    invariant, since one start vector cannot see repeated eigenvalues;
+    np.linalg.eigvals of tp.matrix, formed from the terms if need be, is
+    used instead when the next m would pass dim/2 or put the m x dim basis
+    past _WINDOW_BYTES_BUDGET before the top values pass (at once for count
+    near dim), or when the Krylov space turns out invariant, since one start vector cannot see repeated eigenvalues;
     LinAlgError from it propagates as-is. Above dim 4,096 it is refused.
 
     On a real matrix both paths keep conjugate pairs exact, with equal

@@ -418,18 +418,27 @@ def test_cli_top_eigenvalues_match_the_dense_build(tmp_path):
 
 
 def test_oversized_window_is_an_error(tmp_path, capsys):
-    # W = 151 at N = 1000: dim 91,204, whose dense matrix would take 133 GB
+    # W = 328 at N = 1000: dim 430,336, whose kicked window would hold up to 4.5 GB
     tracemalloc.start()
     try:
-        rc = main(["propagator-spectrum", "--n", "1000", "--a-coeff", "60", "--out", str(tmp_path / "x.csv")])
+        rc = main(["propagator-spectrum", "--n", "1000", "--a-coeff", "130", "--out", str(tmp_path / "x.csv")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "dim-91204" in err and "133,090,713,856 bytes" in err
+    assert err.startswith("error:") and "dim-430336" in err and "4,520,249,344 bytes" in err
     assert peak < 64e6  # the channel's N x N tables, no window
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_wide_kicked_window_runs(tmp_path):
+    # W = 65 at N = 1000: dim 16,900, whose dense matrix (4.6 GB) was once priced and refused;
+    # its in-window terms hold at most 35 MB, and the top 6 pass the Krylov check
+    out = tmp_path / "s.csv"
+    assert main(["propagator-spectrum", "--n", "1000", "--sigma", "0.063", "--a-coeff", "25.8", "--count", "6", "--out", str(out)]) == 0
+    config, columns, rows = _read_csv(out)
+    assert config["dim"] == 16900 and len(rows) == 6 and rows[0][columns.index("modulus")] == pytest.approx(1.0)
 
 
 def test_propagator_header_holds_every_flag(tmp_path):

@@ -25,6 +25,7 @@ from chordnoise import (
     stability_report,
     translation_operator,
 )
+from chordnoise import spectral
 from chordnoise.spectral import _WINDOW_BYTES_BUDGET, SpectrumResult, TruncatedPropagator, _bilinear_entries, _matvec, _window
 from chordnoise.oracles import ORACLE_N_CAP, chord_supermatrix
 
@@ -166,11 +167,10 @@ def test_kicked_map_matches_the_dense_build(n):
             tp = build_noisy_propagator(ch, KickedMap(m, k), 2.0)
             assert tp.dim == 36 and np.array_equal(tp.kept_modes, dense.kept_modes)
             assert np.abs(tp.matrix - dense.matrix).max() < 1e-12, (m, k)
-            # the blocks rest on this: the targets of one q land on distinct rows, row 36 outside
-            rows, values = tp.blocks
-            inside = rows < 36
-            assert len(np.unique(rows[inside])) == inside.sum(), (m, k)
-            assert not values[:, ~inside].any(), (m, k)
+            # the blocks rest on this: the in-window terms land on distinct rows, none outside
+            rows, groups, values = tp.blocks
+            assert len(np.unique(rows)) == len(rows) and rows.max() < 36 and groups.max() < 6, (m, k)
+            assert values.shape == (6, len(rows)), (m, k)
     assert accepted == 69
 
 
@@ -212,18 +212,48 @@ def test_kicked_map_validation(bad):
 
 
 def test_oversized_window_refused_before_allocating():
-    # W = 151 at N = 1000: dim 91,204, whose dense matrix would take 133 GB
+    # the budget prices what a build holds. A kicked window holds at most k^3 complex values and
+    # two int32 labels per term: W = 328 at N = 1000 (k = 656, dim 430,336) needs 4.5 GB.
+    # A dense-u window holds its dense complex matrix: the dim-16,900 window covering N = 130 needs 4.6 GB.
     ch = make_gaussian(TorusGeometry(1000), 0.063)
+    small = make_gaussian(TorusGeometry(130), 0.1)
+    u = translation_operator(small.geometry, (1, 0))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"dim-91204 window needs 133,090,713,856 bytes"):
-            build_noisy_propagator(ch, KickedMap(CAT, 0.02), 60.0)
+        with pytest.raises(ValueError, match=r"dim-430336 window needs 4,520,249,344 bytes as its in-window terms"):
+            build_noisy_propagator(ch, KickedMap(CAT, 0.02), 130.0)
+        with pytest.raises(ValueError, match=r"dim-16900 window needs 4,569,760,000 bytes as a dense complex matrix"):
+            build_noisy_propagator(small, u, 50.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-    # the largest window inside the budget still passes the check
+    # the largest windows inside the budget still pass the check
     assert (4 * 64**2) ** 2 * 16 <= _WINDOW_BYTES_BUDGET < (4 * 65**2) ** 2 * 16
+    assert 644**3 * 16 + 8 * 644**2 <= _WINDOW_BYTES_BUDGET < 646**3 * 16 + 8 * 646**2
+
+
+def test_wide_kicked_window_builds_and_solves():
+    # N=1000, sigma=0.005, a=2.8: W = 89, dim 31,684, once refused as a 16 GB dense matrix (FOUND 61).
+    # Its terms hold 23 MB; the channel and the build peak at ~61 MB, the top 6 solve at ~93 MB
+    tracemalloc.start()
+    try:
+        tp = build_noisy_propagator(make_gaussian(TorusGeometry(1000), 0.005), KickedMap(CAT, 0.2), 2.8)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        top = leading_spectrum(tp, 6).eigenvalues
+    finally:
+        tracemalloc.stop()
+    assert tp.dim == 31684 and build_peak < 120e6
+    assert_allclose(np.abs(top[:4]), [1.0, 0.09623, 0.09134, 0.03777], atol=5e-6)
+
+
+def test_krylov_basis_stays_inside_the_budget(monkeypatch):
+    # the basis, m x dim in the window's dtype, is priced like a window: m stops growing before it passes
+    a = np.diag(np.linspace(1.0, 0.0, 400))
+    monkeypatch.setattr(spectral, "_WINDOW_BYTES_BUDGET", 12 * 400 * 8)
+    vals, m, checks, _, reason = spectral._arnoldi_top(a.__matmul__, 400, a.dtype, 5)
+    assert vals is None and (m, checks) == (11, 1)  # checked at 11; 11 + 3 rows would pass
+    assert reason == "Krylov dimension 14 would pass the 38,400-byte budget with a 44,800-byte basis"
 
 
 def test_dense_build_holds_no_copy_of_u_per_block():
@@ -250,7 +280,7 @@ def test_dense_build_holds_no_copy_of_u_per_block():
     # staging rows q' and -q', 2 k^3 complex entries, would add 1.76 MB
     g = TorusGeometry(100)
     u = _kicked_u(g, 0.2)
-    offs, sigma = _window(make_gaussian(g, 0.04), 4.8)
+    offs, sigma = _window(make_gaussian(g, 0.04), 4.8, False)
     tracemalloc.start()
     try:
         blocks, _ = _bilinear_entries(u, offs, sigma)
@@ -296,21 +326,34 @@ def test_kicked_window_is_stored_as_its_blocks():
         tracemalloc.stop()
     assert tp.dim == 2116
     assert peak < 0.5 * tp.dim**2 * 8
-    # the fill's tables are k x k and k x 2N, so the build holds little beyond the blocks (2.4x)
+    # the fill's tables are k x k and k x 2N, so the build holds little beyond the blocks (2.8x),
+    # which are the 1,058 in-window terms: 0.40 MB
     held = sum(x.nbytes for x in tp.blocks)
-    assert build_peak < 5 * held and held <= 0.81e6
-    rows, values = tp.blocks
-    inside = rows < tp.dim
-    assert 46 * inside.sum() == 48668 and values.dtype == tp.dtype == np.float64
+    assert build_peak < 5 * held and held <= 0.41e6
+    rows, groups, values = tp.blocks
+    assert values.shape == (46, 1058) and values.size == 48668 and values.dtype == tp.dtype == np.float64
+    assert rows.dtype == groups.dtype == np.int32 and rows.max() < tp.dim and groups.max() < 46
     assert not any(x.flags.writeable for x in tp.blocks)
-    assert len(np.unique(rows[inside])) == inside.sum()  # each row from one (q, t)
+    assert len(np.unique(rows)) == len(rows)  # each row from one (q, t)
+    assert (np.diff(groups) >= 0).all()  # q-major
     mat = tp.matrix
     assert not mat.flags.writeable and tp.matrix is not tp.matrix  # formed on each access, not kept
     window = np.zeros((tp.dim, tp.dim))
-    q, t = np.nonzero(inside)
     for p in range(46):
-        window[rows[q, t], 46 * q + p] = values[p, q, t]
+        window[rows, 46 * groups + p] = values[p]
     assert np.array_equal(mat, window)
+
+
+@pytest.mark.parametrize("a_coeff", [2.8, 4.8, 7.0, 9.2])
+def test_kicked_window_holds_only_its_in_window_terms(a_coeff):
+    # N=100, sigma=0.063, k=0.2, dims 196 to 2,116. A k x k table of int64 rows and all k^3
+    # float64 values, zero for each target outside the window, would take 8 k^2 (1 + k) bytes.
+    # The cat map keeps half its targets and holds half that; the shear keeps all and holds as much.
+    _, _, ch = _standard_setup()
+    for m, share in ((CAT, 0.51), (LinearMapSpec(1, 0, 2, 1), 1.0)):
+        tp = build_noisy_propagator(ch, KickedMap(m, 0.2), a_coeff)
+        k = round(tp.dim**0.5)
+        assert sum(x.nbytes for x in tp.blocks) <= share * 8 * k * k * (1 + k), m
 
 
 @pytest.mark.parametrize("a_coeff", [2.8, 4.8])
@@ -346,24 +389,27 @@ def test_complex_kicked_window_solves_through_its_blocks(caplog):
 
 def test_propagator_from_blocks():
     kept = np.argwhere(np.ones((2, 2), dtype=bool))
-    rows, values = np.array([[3, 0], [4, 1]]), np.arange(1.0, 9.0).reshape(2, 2, 2)
-    tp = TruncatedPropagator(kept, blocks=(rows, values))
+    rows, groups, values = np.array([3, 0, 1]), np.array([0, 0, 1]), np.array([[1.0, 2.0, 4.0], [5.0, 6.0, 8.0]])
+    tp = TruncatedPropagator(kept, blocks=(rows, groups, values))
     assert tp.dim == 4 and tp.dtype == np.float64
-    assert all(x is y for x, y in zip(tp.blocks, (rows, values)))  # frozen in place, no copy
-    assert not rows.flags.writeable and not values.flags.writeable
-    # column 2q + p holds values[p, q, t] at row rows[q, t]; row 4 lies outside, so 3.0 and 7.0 drop
+    assert all(x is y for x, y in zip(tp.blocks, (rows, groups, values)))  # frozen in place, no copy
+    assert not any(x.flags.writeable for x in (rows, groups, values))
+    # column 2 groups[e] + p holds values[p, e] at row rows[e], and nothing else is stored
     window = np.zeros((4, 4))
     window[[3, 0, 3, 0, 1, 1], [0, 0, 1, 1, 2, 3]] = [1.0, 2.0, 5.0, 6.0, 4.0, 8.0]
     assert np.array_equal(tp.matrix, window) and not tp.matrix.flags.writeable
     assert TruncatedPropagator(kept, np.eye(4)).blocks is None
-    assert TruncatedPropagator([[0, 0]], blocks=([[0]], [[[1j]]])).matrix.dtype == np.complex128
-    for bad in (([[0, 5], [1, 2]], values), ([[-1, 0], [1, 2]], values), ([[0.0, 1.0], [2.0, 3.0]], values),
-                (rows, values[0]), ([0, 1, 2, 3], values), (rows, [[["a"] * 2] * 2] * 2),
-                ([[0, 0], [1, 2]], values), (rows, rows, values)):
-        with pytest.raises(ValueError, match=r"rows in \[0, dim\], distinct below dim"):
+    assert TruncatedPropagator([[0, 0]], blocks=([0], [0], [[1j]])).matrix.dtype == np.complex128
+    assert not TruncatedPropagator(kept, blocks=(np.zeros(0, int), np.zeros(0, int), np.zeros((2, 0)))).matrix.any()  # no term inside
+    for bad in (([0, 4, 1], groups, values), ([-1, 0, 1], groups, values), ([0.0, 1.0, 2.0], groups, values),
+                (rows, [0, 2, 1], values), (rows, [0, -1, 1], values), (rows, [0.0, 0.0, 1.0], values),
+                ([3, 0, 3], groups, values), (rows, groups, values.T), (rows, groups, values[0]),
+                (rows[:, None], groups, values), (rows, groups[:2], values), (rows, groups, [["a"] * 3] * 2),
+                (rows, values), (rows, groups, values, values)):
+        with pytest.raises(ValueError, match=r"\(E,\) rows distinct in \[0, dim\), \(E,\) groups in \[0, k\), \(k, E\) values"):
             TruncatedPropagator(kept, blocks=bad)
     with pytest.raises(ValueError, match=r"dim = k\^2"):
-        TruncatedPropagator(kept[:3], blocks=([[0]], [[[1.0]]]))
+        TruncatedPropagator(kept[:3], blocks=([0], [0], [[1.0]]))
     for matrix, blocks in ((None, None), (np.eye(4), (rows, values))):
         with pytest.raises(ValueError, match="not both or neither"):
             TruncatedPropagator(kept, matrix, blocks=blocks)
@@ -429,8 +475,8 @@ def test_propagator_reads_lists_and_refuses_bad_shapes():
                       ([[0.5, 0.2]], [[1.0]]), ([[0.0, 0.0]], [[1.0]]), ([[0, 0]], [["a"]]), ([[0, 0]], [[None]])):
         with pytest.raises(ValueError, match=r"need \(dim, 2\) and \(dim, dim\)"):
             TruncatedPropagator(kept, mat)
-    with pytest.raises(ValueError, match=r"rows in \[0, dim\], distinct below dim"):
-        TruncatedPropagator([[0.0, 0.0]], blocks=([[0]], [[[1.0]]]))
+    with pytest.raises(ValueError, match=r"rows distinct in \[0, dim\)"):
+        TruncatedPropagator([[0.0, 0.0]], blocks=([0], [0], [[1.0]]))
 
 
 def test_build_rejects_non_unitary_map():
